@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,10 +47,16 @@ func TestFig7NoSim(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/smoke_tables.golden")
+
+const smokeGolden = "testdata/smoke_tables.golden"
+
 // TestSmokeAllExperiments executes every registered experiment once at
-// minimal scale; it validates that each one runs to completion and
-// produces non-empty tables. Heavier figures are exercised in
-// (skippable) dedicated tests below.
+// minimal scale and compares the rendered tables, byte for byte, with
+// testdata/smoke_tables.golden. Any change to event order, a model or
+// a table format shows up here; regenerate deliberately with
+// `go test ./internal/exp -run TestSmokeAllExperiments -update`.
+// Heavier figures are exercised in (skippable) dedicated tests below.
 func TestSmokeAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke is not short")
@@ -59,11 +68,21 @@ func TestSmokeAllExperiments(t *testing.T) {
 	skip := map[string]bool{
 		"fig8": true, // covered by the per-CC variants below
 	}
+	want := map[string]string{}
+	if !*update {
+		b, err := os.ReadFile(smokeGolden)
+		if err != nil {
+			t.Fatalf("read golden (regenerate with -update): %v", err)
+		}
+		want = splitGolden(string(b))
+	}
+	var all strings.Builder
 	for _, e := range List() {
 		if skip[e.ID] {
 			continue
 		}
 		e := e
+		var got strings.Builder
 		t.Run(e.ID, func(t *testing.T) {
 			tabs := e.Run(smokeOpts)
 			if len(tabs) == 0 {
@@ -73,10 +92,36 @@ func TestSmokeAllExperiments(t *testing.T) {
 				if len(tab.Rows) == 0 {
 					t.Fatalf("%s produced an empty table %q", e.ID, tab.Title)
 				}
-				t.Log("\n" + tab.String())
+				got.WriteString(tab.String())
+			}
+			if !*update && got.String() != want[e.ID] {
+				t.Errorf("%s tables differ from %s:\n--- got\n%s\n--- want\n%s",
+					e.ID, smokeGolden, got.String(), want[e.ID])
 			}
 		})
+		all.WriteString(goldenHeader + e.ID + "\n" + got.String())
 	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(smokeGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(smokeGolden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+const goldenHeader = "#### "
+
+// splitGolden maps each experiment id to its tables in the golden file,
+// where every experiment's block opens with a goldenHeader line.
+func splitGolden(s string) map[string]string {
+	out := map[string]string{}
+	for _, blk := range strings.Split(s, goldenHeader)[1:] {
+		id, body, _ := strings.Cut(blk, "\n")
+		out[id] = body
+	}
+	return out
 }
 
 func TestIncastMixCompletes(t *testing.T) {
