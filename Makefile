@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-fix-baseline bench bench-json bench-smoke bench-compare profile obs-smoke fault-smoke shard-smoke forensics-smoke app-smoke scale-smoke ci
+.PHONY: build test race vet lint lint-fix-baseline bench bench-json bench-smoke bench-compare profile obs-smoke fault-smoke forensics-smoke app-smoke scale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -8,10 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency layer: the run-level worker pool AND the
-# sharded conservative-window executor (shardexec.go barriers, cross-
-# shard mailboxes) both live in internal/exp — the rest of the suite is
-# single-goroutine per shard, enforced by the floodlint goroutine rule.
+# Race-check the concurrency layer: the run-level worker pool in
+# internal/exp is the only concurrency — every simulation runs on one
+# goroutine, enforced by the floodlint goroutine rule.
 # The simdebug tag arms the packet-pool lifecycle assertions, so the
 # same run also catches double-release / use-after-release bugs.
 race:
@@ -21,8 +20,8 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: go vet plus floodlint, the in-tree analyzer suite
-# that enforces the determinism, pooling, units, shard-safety and
-# event-ordering invariants (see DESIGN.md §7). Writes floodlint.sarif
+# that enforces the determinism, pooling, units and event-ordering
+# invariants (see DESIGN.md §7). Writes floodlint.sarif
 # for CI annotation; exit is nonzero on any finding not grandfathered
 # in .floodlint.baseline.json.
 lint: vet
@@ -102,23 +101,11 @@ fault-smoke:
 		-run 'TestFloodgateRecovers|TestFloodgateResyncs|TestWatchdog|TestFaultedRunsBitIdentical|TestRunConfigValidation|TestRunJobsIsolates' \
 		./internal/sim ./internal/exp
 
-# Sharded-executor smoke: a tiny 2-shard fig2 experiment end to end
-# through floodsim (exercises partitioning, barrier windows and the
-# mailbox exchange on a real figure), plus the quick shard unit gates
-# under the race detector with simdebug pool assertions. The full
-# shards × par × scheduler bit-identity matrix runs in `make race`
-# (TestShardDeterminism / TestShardFaultMatrixBitIdentical).
-shard-smoke:
-	$(GO) run ./cmd/floodsim -exp fig2 -scale 0.1 -shards 2 > /dev/null
-	$(GO) test -race -tags simdebug -count=1 \
-		-run 'TestShardWatchdog|TestShardCrossCut|TestShardOversub|TestShardValidation' \
-		./internal/exp
-
 # Forensics smoke: one real experiment through floodsim with the causal
 # tracing layer on; asserts the CLI wiring end to end (the NDJSON report
 # lands next to the obs artifacts) and that the flag pairing error path
-# stays a usage error. Byte-identity across shards/schedulers is pinned
-# by TestForensicsShardSchedDeterminism in `make test`.
+# stays a usage error. Byte-identity across parallelism is pinned by
+# TestForensicsParallelDeterminism in `make test`.
 forensics-smoke:
 	$(GO) run ./cmd/floodsim -exp fig2 -scale 0.1 -obs .forensics-smoke -forensics > /dev/null
 	@ls .forensics-smoke/fig2/*.forensics.ndjson > /dev/null || \
@@ -129,9 +116,9 @@ forensics-smoke:
 # through floodsim (deadline timers, retries, breaker, SLO table), plus
 # the experiment's acceptance gates — timeouts actually fire under
 # DCQCN with retry amplification above 1, Floodgate stays clean, and
-# the rendered SLO table parses column for column. The full
-# shards x par x scheduler bit-identity matrix for the app plane runs
-# in `make test` (TestSLOIncastShardDeterminism).
+# the rendered SLO table parses column for column. Serial-vs-pool
+# bit-identity for the app plane runs in `make test`
+# (TestSLOIncastParallelDeterminism).
 app-smoke:
 	$(GO) run ./cmd/floodsim -exp sloincast -scale 0.1 > /dev/null
 	$(GO) test -count=1 ./internal/app
@@ -151,4 +138,4 @@ scale-smoke:
 	$(GO) test -count=1 -run 'TestRouterEquivalence$$|TestRouterSelection|TestRouteBytesRatio|TestNextPortsRejectsNonHost' ./internal/topo
 	$(GO) test -count=1 -run 'TestScaleIncastSmoke|TestScaleGauges|TestScaleTopoPresets|TestExperimentFabricsUseStructuralRouter' ./internal/exp
 
-ci: build lint test race obs-smoke fault-smoke shard-smoke forensics-smoke app-smoke scale-smoke bench-smoke bench-compare
+ci: build lint test race obs-smoke fault-smoke forensics-smoke app-smoke scale-smoke bench-smoke bench-compare

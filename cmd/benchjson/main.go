@@ -183,6 +183,23 @@ func compareDocs(old, cur doc, tolPct float64) []string {
 	return viol
 }
 
+// missingNames lists the baseline benchmarks absent from cur, in
+// baseline order: a deleted or renamed benchmark is reported, never
+// failed.
+func missingNames(old, cur doc) []string {
+	seen := make(map[string]bool, len(cur.Benchmarks))
+	for _, r := range cur.Benchmarks {
+		seen[r.Name] = true
+	}
+	var out []string
+	for _, r := range old.Benchmarks {
+		if !seen[r.Name] {
+			out = append(out, r.Name)
+		}
+	}
+	return out
+}
+
 // forensicsPairRule asserts the disabled-forensics contract inside one
 // run: BenchmarkForensicsOff executes the same workload as
 // BenchmarkRunIncast with the hooks compiled in but disabled, so their
@@ -311,6 +328,9 @@ func main() {
 		if err := json.Unmarshal(raw, &old); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: parsing %s: %v\n", *compare, err)
 			os.Exit(1)
+		}
+		for _, name := range missingNames(old, cur) {
+			fmt.Fprintf(os.Stderr, "benchjson: note: %s is in %s but not in this run; not compared\n", name, *compare)
 		}
 		for _, v := range compareDocs(old, cur, *tol) {
 			fmt.Fprintln(os.Stderr, "benchjson:", v)

@@ -81,6 +81,16 @@ func TestCompareDocs(t *testing.T) {
 	}
 }
 
+// TestMissingNames: baseline benchmarks absent from the run are listed
+// in baseline order; names only in the run are not.
+func TestMissingNames(t *testing.T) {
+	base := mkDoc(benchResult{Name: "BenchmarkA"}, benchResult{Name: "BenchmarkGone"}, benchResult{Name: "BenchmarkB"})
+	got := missingNames(base, mkDoc(benchResult{Name: "BenchmarkB"}, benchResult{Name: "BenchmarkNew"}, benchResult{Name: "BenchmarkA"}))
+	if len(got) != 1 || got[0] != "BenchmarkGone" {
+		t.Fatalf("missingNames = %v, want [BenchmarkGone]", got)
+	}
+}
+
 // TestCompareDocsAbsoluteAllocSlack pins the small absolute slack: a
 // benchmark going from 0 to a few allocs/op is not a percentage
 // question, and must still pass.

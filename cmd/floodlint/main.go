@@ -1,6 +1,6 @@
 // Command floodlint runs the repository's custom static-analysis suite
 // (see internal/lint): determinism, packet-pooling, hot-path
-// allocation, units-hygiene, shard-safety and event-ordering
+// allocation, units-hygiene and event-ordering
 // invariants that ordinary vet/tests cannot express. It loads and
 // type-checks every package in the module using only the standard
 // library.

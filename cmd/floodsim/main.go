@@ -57,14 +57,12 @@ func main() {
 		scale      = flag.Float64("scale", 0.25, "fabric scale in (0,1]; 1 = paper scale")
 		seed       = flag.Uint64("seed", 1, "workload/simulation seed")
 		par        = flag.Int("par", 0, "max concurrent simulations; 0 = all cores, 1 = serial")
-		shards     = flag.Int("shards", 1, "engine shards per simulation (conservative-window PDES); output is identical at any count")
 		list       = flag.Bool("list", false, "list available experiments")
 		obsDir     = flag.String("obs", "", "write per-run metrics/timeline files under this directory")
 		sample     = flag.Duration("sample", 0, "metrics sampling period on the simulation clock (e.g. 10us); 0 = default")
 		faults     = flag.String("faults", "", "run one fault-injection scenario, or 'list'")
 		topoName   = flag.String("topo", "", "large-fabric preset for -exp scaleincast (clos, clos100k, fattree16, fattree32), or 'list'")
 		forensics  = flag.Bool("forensics", false, "causal flow forensics: FCT time-budget attribution + incast episodes (requires -obs; writes <label>.forensics.ndjson)")
-		sched      = flag.String("sched", "wheel", "event scheduler: wheel (default) or heap; output is identical")
 		appOn      = flag.Bool("app", false, "overlay the closed-loop application plane on experiments that support it (adds SLO columns to faultmatrix); 'sloincast' runs it regardless")
 		flowsFrom  = flag.String("flows-from", "", "replay an NDJSON flow file (one {src,dst,size,start_ps,cat} object per line, sorted by start_ps)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -72,24 +70,6 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *sched {
-	case "wheel", "heap":
-	default:
-		fmt.Fprintf(os.Stderr, "floodsim: unknown -sched %q (want wheel or heap)\n", *sched)
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "floodsim: -shards must be non-negative, got %d\n", *shards)
-		os.Exit(2)
-	}
-	if *shards > 1 && *obsDir != "" {
-		fmt.Fprintln(os.Stderr, "floodsim: -obs does not compose with -shards > 1 (per-shard metric export is not merged; see DESIGN.md §10)")
-		os.Exit(2)
-	}
-	if err := validateConcurrency(*par, *shards, runtime.GOMAXPROCS(0)); err != nil {
-		fmt.Fprintln(os.Stderr, "floodsim:", err)
-		os.Exit(2)
-	}
 	if err := validateForensics(*forensics, *obsDir); err != nil {
 		fmt.Fprintln(os.Stderr, "floodsim:", err)
 		os.Exit(2)
@@ -141,13 +121,8 @@ func main() {
 		}
 		return
 	}
-	schedOpt := floodgate.SchedWheel
-	if *sched == "heap" {
-		schedOpt = floodgate.SchedHeap
-	}
-
 	if *flowsFrom != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Scheduler: schedOpt, Shards: *shards}
+		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par}
 		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 		tables, err := floodgate.RunFlowFile(*flowsFrom, o)
 		if err != nil {
@@ -163,7 +138,7 @@ func main() {
 	}
 
 	if *faults != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Scheduler: schedOpt, Shards: *shards, App: *appOn}
+		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, App: *appOn}
 		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 		tables, err := floodgate.RunFaultScenario(*faults, o)
 		if err != nil {
@@ -190,7 +165,7 @@ func main() {
 		return
 	}
 
-	o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, Scheduler: schedOpt, Shards: *shards, App: *appOn, Topo: *topoName}
+	o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, App: *appOn, Topo: *topoName}
 	if *obsDir != "" {
 		o.Obs = floodgate.ObsConfig{Dir: *obsDir, Period: floodgate.FromNanos(sample.Nanoseconds())}
 	}
@@ -238,16 +213,6 @@ func main() {
 	print(*expID, tables, time.Since(start)) //lint:allow walltime progress reporting times the real run, not the simulation
 }
 
-// validateConcurrency rejects explicit concurrency settings the exp
-// executor would otherwise only clamp with a warning: every simulation
-// runs one goroutine per shard, so a -par x -shards product above
-// GOMAXPROCS cannot execute as requested — the executor would quietly
-// cap the concurrent runs below what was asked for. An explicit -par
-// is a statement of intent, so an impossible product is a usage error
-// here. -par 0 keeps the executor's auto-sizing (cores divided by the
-// shard count), and -shards alone is never rejected: shards above the
-// core count merely time-slice, which is slower but still bit-exact
-// (that is what lets the 1-core CI container smoke-test -shards 2).
 // validateForensics rejects -forensics without an -obs directory: the
 // forensics report is file output (NDJSON beside the run's metric
 // files), so without a destination directory the flag would silently
@@ -277,14 +242,4 @@ func validateTopo(name string) error {
 		names = append(names, p[0])
 	}
 	return fmt.Errorf("unknown -topo %q (have %v, or 'list')", name, names)
-}
-
-func validateConcurrency(par, shards, maxProcs int) error {
-	if shards <= 1 || par < 1 {
-		return nil
-	}
-	if par*shards > maxProcs {
-		return fmt.Errorf("-par %d x -shards %d = %d goroutines oversubscribes GOMAXPROCS=%d; lower one of them, or use -par 0 to auto-size", par, shards, par*shards, maxProcs)
-	}
-	return nil
 }

@@ -5,46 +5,6 @@ import (
 	"testing"
 )
 
-// TestValidateConcurrency pins the usage contract: an explicit -par
-// whose par x shards product exceeds GOMAXPROCS — or a -shards count a
-// single run cannot execute in parallel — is a usage error, while
-// -par 0 defers to the executor's auto-sizing.
-func TestValidateConcurrency(t *testing.T) {
-	cases := []struct {
-		name            string
-		par, shards, mp int
-		wantErr         string // "" = accept
-	}{
-		{"serial default", 0, 1, 8, ""},
-		{"unsharded any par", 16, 1, 8, ""}, // run-level pool clamps itself; no shard goroutines
-		{"auto par with shards", 0, 4, 8, ""},
-		{"auto par absorbs any shard count", 0, 16, 8, ""}, // time-sliced but bit-exact (1-core CI)
-		{"exact fit", 2, 4, 8, ""},
-		{"serial run of wide shards", 1, 8, 8, ""},
-		{"oversubscribed product", 4, 4, 8, "oversubscribes GOMAXPROCS=8"},
-		{"barely oversubscribed", 3, 3, 8, "oversubscribes GOMAXPROCS=8"},
-		{"explicit serial still oversubscribed", 1, 9, 8, "oversubscribes GOMAXPROCS=8"},
-		{"zero shards falls back to serial", 4, 0, 2, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateConcurrency(tc.par, tc.shards, tc.mp)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("validateConcurrency(%d, %d, %d) = %v, want accept", tc.par, tc.shards, tc.mp, err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("validateConcurrency(%d, %d, %d) accepted, want error containing %q", tc.par, tc.shards, tc.mp, tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error = %q, want it to mention %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 // TestValidateForensics pins the flag-pairing contract: -forensics is
 // file output, so it is a usage error without an -obs directory, and
 // the message must tell the user the fix.

@@ -16,14 +16,12 @@
 // (p99/p999 request latency, timeout rate, retry amplification) next
 // to the FCT tables.
 //
-// Determinism under sharding: every attempt flow is pre-registered
-// (Cluster.AddAppFlow) in a fixed global order before SealFlows, so
-// FlowIDs never depend on runtime behaviour; all runtime actions are
-// shard-local (clients launch request flows they own, workers launch
-// response flows they own, timers run on the owning shard's engine at
-// the PriTimer rung); and backoff jitter is drawn from per-client PRNG
-// streams derived from (seed, client node ID), never from a shared
-// source. See DESIGN.md §12 for the full argument.
+// Determinism: every attempt flow is pre-registered
+// (Network.AddAppFlow) in a fixed order before SealFlows, so FlowIDs
+// never depend on runtime behaviour; timers run at the PriTimer rung;
+// and backoff jitter is drawn from per-client PRNG streams derived
+// from (seed, client node ID), never from a shared source. See
+// DESIGN.md §12 for the full argument.
 package app
 
 import (
@@ -184,8 +182,7 @@ type role struct {
 }
 
 // Dispatch is the immutable flow→role table built at registration
-// time and shared read-only by every shard's Plane (it is listed in
-// floodlint's SharedImmutable audit).
+// time and read by the Plane.
 type Dispatch struct {
 	Cfg  Config
 	Reqs []Request
@@ -195,13 +192,13 @@ type Dispatch struct {
 	attempts [][][]*device.Flow // [req][attempt-1][worker] request flows
 }
 
-// Build registers every possible attempt flow on the cluster — for
+// Build registers every possible attempt flow on the network — for
 // each request, MaxAttempts × FanIn request/response pairs — in a
 // fixed global order, and returns the dispatch table. Must run after
-// all open-loop AddFlow calls and before SealFlows. The flows are
+// all open-loop RegisterFlow calls and before SealFlows. The flows are
 // deferred (AddAppFlow): unused attempts never launch and cost only
 // their registration.
-func Build(c *device.Cluster, reqs []Request, cfg Config) *Dispatch {
+func Build(n *device.Network, reqs []Request, cfg Config) *Dispatch {
 	cfg = cfg.withDefaults()
 	d := &Dispatch{Cfg: cfg, Reqs: reqs}
 	d.attempts = make([][][]*device.Flow, len(reqs))
@@ -210,8 +207,8 @@ func Build(c *device.Cluster, reqs []Request, cfg Config) *Dispatch {
 		for a := 1; a <= cfg.MaxAttempts; a++ {
 			row := make([]*device.Flow, len(rq.Workers))
 			for wi, w := range rq.Workers {
-				fq := c.AddAppFlow(rq.Client, w, cfg.ReqSize, rq.Arrival, packet.CatVictimPFC, a)
-				fr := c.AddAppFlow(w, rq.Client, rq.RespSize[wi], rq.Arrival, packet.CatIncast, a)
+				fq := n.AddAppFlow(rq.Client, w, cfg.ReqSize, rq.Arrival, packet.CatVictimPFC, a)
+				fr := n.AddAppFlow(w, rq.Client, rq.RespSize[wi], rq.Arrival, packet.CatIncast, a)
 				if d.base == 0 {
 					d.base = fq.ID
 				}

@@ -18,7 +18,7 @@ func testTopo() *topo.Topology {
 
 // TestExpBackoffDeterministic: two forks of the same stream must
 // produce the same jittered backoff sequence — the property the
-// per-client jitter streams rely on for cross-shard bit-identity.
+// per-client jitter streams rely on for bit-identical runs.
 func TestExpBackoffDeterministic(t *testing.T) {
 	p := ExpBackoff{Base: 100 * units.Microsecond, Max: units.Millisecond}
 	r1 := sim.NewRand(7)

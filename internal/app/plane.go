@@ -10,10 +10,9 @@ import (
 	"floodgate/internal/units"
 )
 
-// reqState is the client-side state machine of one request. It lives
-// on the client's shard only; every transition runs on that shard's
-// engine (arrival, deadline, retry and hedge timers) or inside a
-// completion callback of a flow the shard owns the receive side of.
+// reqState is the client-side state machine of one request. Every
+// transition runs in an engine timer (arrival, deadline, retry and
+// hedge) or inside a flow-completion callback.
 type reqState struct {
 	pl  *Plane
 	idx int32 // request index into Dispatch.Reqs
@@ -55,40 +54,34 @@ func (cs *clientState) takeRetry() bool {
 	return true
 }
 
-// Plane is one shard's view of the application plane. It owns the
-// requests whose client host the shard owns and the worker side of
-// every request flow the shard receives; the Dispatch table is shared
-// read-only. Wire the network's completion callback through
-// Plane.OnFlowDone to activate it.
+// Plane runs the application plane of one network: the client side of
+// every request and the worker side of every request flow, driven by
+// the read-only Dispatch table. Wire the network's completion callback
+// through Plane.OnFlowDone to activate it.
 type Plane struct {
 	net *device.Network
 	d   *Dispatch
 
-	states  []*reqState // by request index; nil when owned elsewhere
-	order   []*reqState // owned requests in arrival order
+	// OnResolve, if set, fires each time a request reaches a terminal
+	// state (quorum reached, given up or shed).
+	OnResolve func()
+
+	states  []*reqState // by request index, which is arrival order
 	next    int         // next arrival to inject
 	clients []*clientState
 
-	// Monotone progress/diagnosis counters, read at shard barriers.
-	resolved    int
+	// Diagnosis counters for the stall watchdog.
 	pendingReqs int // launched, unresolved
 	retryTimers int // armed retry/hedge timers
-	totTimeouts int
-	totRetries  int
-	totHedges   int
-	totShed     int
 }
 
-// NewPlane builds the shard's plane and arms its arrival chain. Call
-// after Cluster.SealFlows, once per shard, with that shard's Network.
+// NewPlane builds the plane and arms its arrival chain. Call after
+// Network.SealFlows.
 func NewPlane(n *device.Network, d *Dispatch) *Plane {
 	p := &Plane{net: n, d: d, states: make([]*reqState, len(d.Reqs))}
 	cidx := make(map[packet.NodeID]int32, d.Cfg.Clients)
 	for ri := range d.Reqs {
 		rq := &d.Reqs[ri]
-		if n.HostsByID[rq.Client] == nil {
-			continue // another shard owns this client
-		}
 		ci, seen := cidx[rq.Client]
 		if !seen {
 			ci = int32(len(p.clients))
@@ -110,28 +103,27 @@ func NewPlane(n *device.Network, d *Dispatch) *Plane {
 			replied: make([]bool, len(rq.Workers)),
 		}
 		p.states[ri] = rs
-		p.order = append(p.order, rs)
 	}
-	if len(p.order) > 0 {
-		n.Eng.AtArg(p.d.Reqs[p.order[0].idx].Arrival, planeArriveFn, p)
+	if len(p.states) > 0 {
+		n.Eng.AtArg(d.Reqs[0].Arrival, planeArriveFn, p)
 	}
 	return p
 }
 
-// planeArriveFn injects every owned request whose arrival time has
-// come, then re-arms for the next one — one chained timer per shard,
-// like the open-loop flow injector but at PriTimer (arrivals are
-// application events, not wire events).
+// planeArriveFn injects every request whose arrival time has come,
+// then re-arms for the next one — one chained timer, like the
+// open-loop flow injector but at PriTimer (arrivals are application
+// events, not wire events).
 func planeArriveFn(a any) {
 	p := a.(*Plane)
 	now := p.net.Eng.Now()
-	for p.next < len(p.order) && p.d.Reqs[p.order[p.next].idx].Arrival <= now {
-		rs := p.order[p.next]
+	for p.next < len(p.states) && p.d.Reqs[p.next].Arrival <= now {
+		rs := p.states[p.next]
 		p.next++
 		p.arrive(rs, now)
 	}
-	if p.next < len(p.order) {
-		p.net.Eng.AtArg(p.d.Reqs[p.order[p.next].idx].Arrival, planeArriveFn, p)
+	if p.next < len(p.states) {
+		p.net.Eng.AtArg(p.d.Reqs[p.next].Arrival, planeArriveFn, p)
 	}
 }
 
@@ -142,10 +134,9 @@ func (p *Plane) arrive(rs *reqState, now units.Time) {
 	if cs.breaker.open(now) {
 		rs.resolved, rs.shed = true, true
 		rs.end = now
-		p.resolved++
-		p.totShed++
 		p.net.Metrics.AppShed.Inc()
 		p.net.TraceFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+		p.resolved()
 		return
 	}
 	p.pendingReqs++
@@ -186,7 +177,6 @@ func reqDeadlineFn(a any) {
 	p := rs.pl
 	now := p.net.Eng.Now()
 	rs.timeouts++
-	p.totTimeouts++
 	p.net.Metrics.AppTimeouts.Inc()
 	cs := p.clients[rs.ci]
 	p.net.TraceFlow(trace.OpAppTimeout, cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
@@ -209,7 +199,6 @@ func reqRetryFn(a any) {
 	if rs.resolved {
 		return
 	}
-	p.totRetries++
 	p.net.Metrics.AppRetries.Inc()
 	p.launch(rs, trace.OpAppRetry)
 }
@@ -230,7 +219,6 @@ func reqHedgeFn(a any) {
 		return
 	}
 	rs.hedges++
-	p.totHedges++
 	p.net.Metrics.AppHedges.Inc()
 	p.launch(rs, trace.OpAppHedge)
 }
@@ -240,7 +228,6 @@ func (p *Plane) resolve(rs *reqState, now units.Time, ok bool) {
 	rs.resolved, rs.ok = true, ok
 	rs.end = now
 	p.pendingReqs--
-	p.resolved++
 	cs := p.clients[rs.ci]
 	if ok {
 		lat := now.Sub(rs.start)
@@ -249,12 +236,20 @@ func (p *Plane) resolve(rs *reqState, now units.Time, ok bool) {
 		cs.breaker.record(false, now)
 	}
 	p.net.TraceFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+	p.resolved()
 }
 
-// OnFlowDone dispatches flow completions to the app plane. Request
-// flows complete on the worker's shard (the receive side) and launch
-// the response; response flows complete on the client's shard and
-// count toward the quorum. Open-loop flows (Attempt == 0) are ignored.
+// resolved reports a request's terminal state to OnResolve.
+func (p *Plane) resolved() {
+	if p.OnResolve != nil {
+		p.OnResolve()
+	}
+}
+
+// OnFlowDone dispatches flow completions to the app plane. A completed
+// request flow launches the worker's response; completed response
+// flows count toward the quorum. Open-loop flows (Attempt == 0) are
+// ignored.
 func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 	if f.Attempt == 0 {
 		return
@@ -281,14 +276,9 @@ func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 	}
 }
 
-// Resolved is the number of owned requests that have reached a
-// terminal state (completed, given up or shed). Monotone; safe to sum
-// across shards at a barrier as the app-plane progress signal.
-func (p *Plane) Resolved() int { return p.resolved }
-
 // StallState reports the plane's watchdog-relevant state: launched but
 // unresolved requests, armed retry/hedge timers, and breakers
-// currently open. Read only at shard barriers.
+// currently open.
 func (p *Plane) StallState(now units.Time) (pending, retryTimers, openBreakers int) {
 	for _, cs := range p.clients {
 		if cs.breaker.open(now) {

@@ -11,7 +11,7 @@ import (
 // before launching the next attempt. Implementations must be pure
 // functions of (attempt, r): all randomness comes from r, the calling
 // client's private deterministic stream, so backoff schedules are
-// bit-identical across shard counts, parallelism and schedulers.
+// bit-identical across runs and parallelism.
 type RetryPolicy interface {
 	// Name labels the policy in experiment tables.
 	Name() string

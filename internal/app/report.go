@@ -6,9 +6,7 @@ import (
 	"floodgate/internal/units"
 )
 
-// Record is the terminal outcome of one request, merged across shards
-// by request index (each request is owned by exactly one shard, so the
-// merge is a disjoint fill — deterministic for any partition).
+// Record is the terminal outcome of one request.
 type Record struct {
 	Start, End units.Time
 	OK         bool // quorum reached
@@ -35,21 +33,15 @@ type SLO struct {
 	ShedRate       float64
 }
 
-// Collect merges the per-shard planes' request outcomes into one
-// Record slice in request order.
-func Collect(planes []*Plane) []Record {
-	if len(planes) == 0 {
-		return nil
-	}
-	recs := make([]Record, planes[0].d.NumRequests())
-	for _, p := range planes {
-		for _, rs := range p.order {
-			recs[rs.idx] = Record{
-				Start: rs.start, End: rs.end,
-				OK: rs.ok, Shed: rs.shed,
-				Attempts: rs.attempts, Hedges: rs.hedges,
-				Timeouts: rs.timeouts, RespBytes: rs.respRecv,
-			}
+// Records returns every request's outcome in request order.
+func (p *Plane) Records() []Record {
+	recs := make([]Record, len(p.states))
+	for i, rs := range p.states {
+		recs[i] = Record{
+			Start: rs.start, End: rs.end,
+			OK: rs.ok, Shed: rs.shed,
+			Attempts: rs.attempts, Hedges: rs.hedges,
+			Timeouts: rs.timeouts, RespBytes: rs.respRecv,
 		}
 	}
 	return recs

@@ -56,7 +56,7 @@ type Module struct {
 	epoch   uint32
 	resyncs int
 
-	// frx is the shard's forensics recorder (nil when disabled).
+	// frx is the run's forensics recorder (nil when disabled).
 	// creditSentAt/creditFrom are transients valid only inside OnCtrl's
 	// credit-apply loop: drain reads them to attribute a released
 	// packet's wait to credit flight time and to link the unpark back to

@@ -28,14 +28,10 @@ type geChain struct {
 	rnd sim.Rand
 }
 
-// Fault events decompose into per-endpoint sub-events at install time,
-// so that under the sharded executor each shard schedules exactly the
-// sub-events touching its own devices. All sub-events run at priority
-// sim.PriFault (before any same-timestamp wire delivery or timer) and
-// are installed in plan order, so each shard executes the plan-order
-// subsequence it owns — the same relative order a single-shard run
-// executes. Each sub-event reads and writes only its own endpoint's
-// state, which is what makes the decomposition partition-invariant.
+// Fault events decompose into per-endpoint sub-events at install time.
+// All sub-events run at priority sim.PriFault (before any
+// same-timestamp wire delivery or timer) and are installed in plan
+// order; each reads and writes only its own endpoint's state.
 
 // linkHalfArg applies one endpoint's side of a link transition.
 type linkHalfArg struct {
@@ -86,10 +82,8 @@ type faultState struct {
 }
 
 // InstallFaults arms a fault plan on the network: validates it, builds
-// the runtime link/loss state, and schedules the sub-events whose
-// devices this network owns. Call once, after New and before Run. A
-// nil plan is a no-op. Under the sharded executor every shard installs
-// the same plan; ownership gates which sub-events each one schedules.
+// the runtime link/loss state, and schedules the plan's sub-events.
+// Call once, after New and before Run. A nil plan is a no-op.
 func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 	if p == nil {
 		return
@@ -111,14 +105,14 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 		}
 		f.linkUp[node.ID] = up
 		chains := make([]geChain, len(node.Ports))
-		if p.Burst != nil && node.Kind == topo.SwitchNode && n.owns(node.ID) {
+		if p.Burst != nil && node.Kind == topo.SwitchNode {
 			for i := range node.Ports {
 				pt := &node.Ports[i]
 				if n.Topo.Node(pt.Peer).Kind != topo.SwitchNode || !p.BurstApplies(node.ID, pt.Peer) {
 					continue
 				}
 				// Seeded from (run seed, node, port) alone — never from a
-				// shared stream — so chains are identical at any shard count.
+				// shared stream — so chains do not depend on event order.
 				mix := uint64(node.ID)<<20 | uint64(i)
 				chains[i] = geChain{on: true, rnd: *sim.NewRand(seed ^ mix*0x9e3779b97f4a7c15)}
 			}
@@ -130,27 +124,18 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 		switch ev.Kind {
 		case fault.LinkDown, fault.LinkUp:
 			up := ev.Kind == fault.LinkUp
-			if n.owns(ev.Link.A) {
-				arg := &linkHalfArg{n: n, node: ev.Link.A, port: n.portTo(ev.Link.A, ev.Link.B), up: up, primary: true}
-				n.Eng.AtArgPri(ev.At, linkHalfFn, arg, sim.PriFault)
-			}
-			if n.owns(ev.Link.B) {
-				arg := &linkHalfArg{n: n, node: ev.Link.B, port: n.portTo(ev.Link.B, ev.Link.A), up: up}
-				n.Eng.AtArgPri(ev.At, linkHalfFn, arg, sim.PriFault)
-			}
+			a := &linkHalfArg{n: n, node: ev.Link.A, port: n.portTo(ev.Link.A, ev.Link.B), up: up, primary: true}
+			n.Eng.AtArgPri(ev.At, linkHalfFn, a, sim.PriFault)
+			b := &linkHalfArg{n: n, node: ev.Link.B, port: n.portTo(ev.Link.B, ev.Link.A), up: up}
+			n.Eng.AtArgPri(ev.At, linkHalfFn, b, sim.PriFault)
 		case fault.SwitchRestart:
-			if n.owns(ev.Node) {
-				n.Eng.AtArgPri(ev.At, restartFn, &restartArg{n: n, id: ev.Node}, sim.PriFault)
-			}
-			// Neighbor nudges are their own sub-events (a neighbor may
-			// live on another shard); they touch only the neighbor's
-			// state, so they commute with the restart body.
+			n.Eng.AtArgPri(ev.At, restartFn, &restartArg{n: n, id: ev.Node}, sim.PriFault)
+			// Neighbor nudges are their own sub-events; they touch only
+			// the neighbor's state, so they commute with the restart body.
 			ports := n.Topo.Node(ev.Node).Ports
 			for pi := range ports {
 				pt := &ports[pi]
-				if n.owns(pt.Peer) {
-					n.Eng.AtArgPri(ev.At, nudgeFn, &nudgeArg{n: n, peer: pt.Peer, port: pt.PeerPort}, sim.PriFault)
-				}
+				n.Eng.AtArgPri(ev.At, nudgeFn, &nudgeArg{n: n, peer: pt.Peer, port: pt.PeerPort}, sim.PriFault)
 			}
 		}
 	}
@@ -158,8 +143,7 @@ func (n *Network) InstallFaults(p *fault.Plan, seed uint64) {
 }
 
 // mustResolveEvent panics early (at install, not mid-run) when an event
-// names a link or switch the topology does not have. Resolution is
-// topology-based so every shard applies the same validation.
+// names a link or switch the topology does not have.
 func (n *Network) mustResolveEvent(ev fault.Event) {
 	switch ev.Kind {
 	case fault.LinkDown, fault.LinkUp:
@@ -330,9 +314,9 @@ func (n *Network) clearPortPause(id packet.NodeID, port int) {
 // frame is dropped, PFC bookkeeping is forgotten, and the flow-control
 // module is reinitialized (via its Restarter hook when it has one, else
 // rebuilt from the factory). Neighbors resynchronize through separate
-// nudge sub-events (scheduled at install time on their own shards; see
-// InstallFaults). The frame mid-serialization, if any, survives — it
-// is already on the wire.
+// nudge sub-events (scheduled at install time; see InstallFaults). The
+// frame mid-serialization, if any, survives — it is already on the
+// wire.
 func (n *Network) restartSwitch(id packet.NodeID) {
 	s := n.Switches[id]
 	f := n.faults

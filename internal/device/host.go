@@ -37,8 +37,8 @@ type Flow struct {
 	net  *Network
 	ctrl cc.Controller
 
-	// manual marks a deferred (application-launched) flow: the per-shard
-	// injection chains skip it and Network.Launch starts it at runtime.
+	// manual marks a deferred (application-launched) flow: the injection
+	// chain skips it and Network.Launch starts it at runtime.
 	// launched guards against double launches and lets reporting skip
 	// attempt flows that never fired.
 	manual   bool
@@ -405,8 +405,8 @@ func (h *Host) receiveData(p *packet.Packet, now units.Time) {
 	if f.done {
 		// Straggler or retransmitted segment after completion: re-ACK so
 		// a sender whose final cumulative ACK was lost stops rewinding.
-		// (The sender may live on another shard and cannot peek at
-		// receiver state, so silence would loop its RTO forever.)
+		// (The sender does not peek at receiver state, so silence would
+		// loop its RTO forever.)
 		ack := h.net.NewCtrl(packet.Ack, f.ID, h.node.ID, f.Src)
 		ack.AckSeq = f.rcvNxt
 		h.sendCtrl(ack)
@@ -578,9 +578,9 @@ func (h *Host) serviceRTO() {
 		h.rtoQ[h.rtoHead] = nil
 		h.rtoHead++
 		f.inRtoQ = false
-		// senderDone alone gates here: done is receiver-side state, which
-		// may live on another shard. A sender that never saw its final
-		// ACK retransmits and the receiver re-ACKs (see receiveData).
+		// senderDone alone gates here: done is receiver-side state. A
+		// sender that never saw its final ACK retransmits and the
+		// receiver re-ACKs (see receiveData).
 		if f.senderDone {
 			continue
 		}

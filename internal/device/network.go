@@ -46,15 +46,6 @@ type NDPConfig struct {
 	TrimThresh units.ByteSize // egress backlog above which payloads are trimmed
 }
 
-// ShardSpec restricts a Network to one shard of a partitioned
-// topology (see Cluster). Assign maps NodeID to shard index; the
-// Network builds devices only for nodes assigned to Index. A nil
-// ShardSpec means the Network owns the whole topology.
-type ShardSpec struct {
-	Index  int
-	Assign []int
-}
-
 // Config assembles a simulation.
 type Config struct {
 	Topo   *topo.Topology
@@ -64,12 +55,8 @@ type Config struct {
 	// Seed feeds every device-layer PRNG (per-switch ECN/loss draws,
 	// fault-plane Gilbert–Elliott chains). Each consumer derives its
 	// own stream from (Seed, node ID), so draws are independent of
-	// event interleaving and of how the topology is sharded.
+	// event interleaving across devices.
 	Seed uint64
-
-	// Shard, when non-nil, builds only one shard's devices (the
-	// sharded executor wires the shards together; see cluster.go).
-	Shard *ShardSpec
 
 	BufferSize units.ByteSize // per-switch shared buffer (default 20MB)
 	PFC        PFCConfig
@@ -107,8 +94,7 @@ type Config struct {
 	Trace *trace.Buffer
 
 	// Forensics, when non-nil, receives causal wait-state hooks (see
-	// the forensics package). Each shard must get its own recorder
-	// (Cluster forks siblings); disabled forensics costs one nil check
+	// the forensics package). Disabled forensics costs one nil check
 	// per hook site and allocates nothing.
 	Forensics *forensics.Recorder
 
@@ -173,7 +159,7 @@ type Network struct {
 	// dirBase[id] is the number of directed ports owned by nodes with
 	// smaller IDs: wire delivery priorities are PriWireBase + dirBase
 	// [owner] + port index, giving every directed link a globally
-	// unique same-timestamp priority (partition-invariant ordering).
+	// unique same-timestamp priority.
 	dirBase []uint32
 
 	Switches  []*Switch // indexed by NodeID (nil for hosts)
@@ -183,7 +169,17 @@ type Network struct {
 	flows   []*Flow // indexed by FlowID (ids are dense, starting at 1)
 	pktPool []*packet.Packet
 
-	// frx is this shard's forensics recorder (nil when disabled); every
+	// Ordered flow registry (RegisterFlow/AddAppFlow, then SealFlows):
+	// lastStart enforces non-decreasing starts, direct counts flows
+	// AddFlow scheduled itself, and injNext/injEnd walk the registered
+	// range of flows for the injection chain.
+	lastStart units.Time
+	sealed    bool
+	direct    int
+	injNext   int
+	injEnd    int
+
+	// frx is the run's forensics recorder (nil when disabled); every
 	// hook site checks it before doing any work.
 	frx *forensics.Recorder
 
@@ -214,11 +210,6 @@ func New(cfg Config) *Network {
 		flows:     []*Flow{nil}, // FlowID 0 is unused
 		frx:       cfg.Forensics,
 	}
-	if sp := cfg.Shard; sp != nil {
-		// Distinct pktID streams per shard (ids are debug/trace labels;
-		// uniqueness, not density, is what matters).
-		n.nextID = uint64(sp.Index) << 56
-	}
 	n.dirBase = make([]uint32, len(cfg.Topo.Nodes))
 	var dirCnt uint32
 	for _, node := range cfg.Topo.Nodes {
@@ -242,9 +233,6 @@ func New(cfg Config) *Network {
 		n.Metrics.ScaleBytesPerHost.Set((t.StructBytes() + t.RouteBytes()) / hosts)
 	}
 	for _, node := range cfg.Topo.Nodes {
-		if !n.owns(node.ID) {
-			continue
-		}
 		if node.Kind == topo.SwitchNode {
 			n.Switches[node.ID] = newSwitch(n, node)
 		} else {
@@ -291,31 +279,15 @@ func (n *Network) deriveBaseRTT() units.Duration {
 func (n *Network) BaseRTT() units.Duration { return n.Cfg.BaseRTT }
 
 // BaseBDP returns host line rate × base RTT for the topology's first
-// host. Derived from the topology (not the shard's own host list) so
-// every shard computes the same value.
+// host.
 func (n *Network) BaseBDP() units.ByteSize {
 	p := &n.Topo.Node(n.Topo.Hosts[0]).Ports[0]
 	return units.BDP(p.Rate, n.Cfg.BaseRTT)
 }
 
-// owns reports whether this network builds the device for a node.
-func (n *Network) owns(id packet.NodeID) bool {
-	s := n.Cfg.Shard
-	return s == nil || s.Assign[id] == s.Index
-}
-
 // wirePri is the engine priority of the directed link (owner, port).
 func (n *Network) wirePri(owner packet.NodeID, port int) uint32 {
 	return sim.PriWireBase + n.dirBase[owner] + uint32(port)
-}
-
-// wireOf returns the in-flight chain of the directed link (owner,
-// port); the owner must be built on this shard.
-func (n *Network) wireOf(owner packet.NodeID, port int) *wire {
-	if sw := n.Switches[owner]; sw != nil {
-		return &sw.out[port].wire
-	}
-	return &n.HostsByID[owner].wire
 }
 
 // pktID mints a unique packet id.
@@ -347,7 +319,7 @@ func (n *Network) TraceAux(op trace.Op, node packet.NodeID, p *packet.Packet, au
 	}
 }
 
-// ForensicsRec returns the shard's forensics recorder (nil when
+// ForensicsRec returns the run's forensics recorder (nil when
 // disabled); flow-control modules cache it at construction.
 func (n *Network) ForensicsRec() *forensics.Recorder { return n.frx }
 
@@ -381,9 +353,9 @@ func (n *Network) flow(id packet.FlowID) *Flow {
 	return n.flows[id]
 }
 
-// AddFlow registers a flow from src to dst starting at the given time.
-// Returns the flow for inspection.
-func (n *Network) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
+// newFlow validates the endpoints, mints the next FlowID and the
+// flow's congestion controller, and appends the flow to the table.
+func (n *Network) newFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
 	if src == dst {
 		panic("device: flow with src == dst")
 	}
@@ -391,33 +363,125 @@ func (n *Network) AddFlow(src, dst packet.NodeID, size units.ByteSize, start uni
 		panic("device: flow with non-positive size")
 	}
 	sh := n.HostsByID[src]
-	dh := n.HostsByID[dst]
-	if sh == nil || dh == nil {
+	if sh == nil || n.HostsByID[dst] == nil {
 		panic(fmt.Sprintf("device: flow endpoints must be hosts (%d -> %d)", src, dst))
 	}
-	id := packet.FlowID(len(n.flows))
 	env := cc.Env{
 		LinkRate: sh.port.Rate,
 		BaseRTT:  n.Cfg.BaseRTT,
 		BDP:      units.BDP(sh.port.Rate, n.Cfg.BaseRTT),
 	}
 	f := &Flow{
-		ID: id, Src: src, Dst: dst, Size: size, Cat: cat,
+		ID: packet.FlowID(len(n.flows)), Src: src, Dst: dst, Size: size, Cat: cat,
 		Start: start, ctrl: n.Cfg.CC(env), net: n,
 	}
 	n.flows = append(n.flows, f)
+	return f
+}
+
+// AddFlow creates a flow from src to dst and schedules its start
+// right away (one engine event per future flow). Returns the flow for
+// inspection. Whole workloads go through RegisterFlow instead.
+func (n *Network) AddFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
+	f := n.newFlow(src, dst, size, start, cat)
+	n.direct++
 	if start == n.Eng.Now() {
-		sh.startFlow(f)
+		n.HostsByID[src].startFlow(f)
 	} else {
 		n.Eng.AtArg(start, flowStartFn, f)
 	}
 	return f
 }
 
-// Launch starts a deferred application flow (Cluster.AddAppFlow) on
-// its source host at the current simulation time. The caller must be
-// the shard that owns f.Src — the application plane is per-shard, so
-// this holds by construction. A flow launches at most once.
+// RegisterFlow adds a flow to the ordered registry: flows are
+// registered in a fixed order with non-decreasing starts before
+// SealFlows, which arms one chained injector for all of them. The
+// FlowID sequence and the injection order are part of the
+// deterministic contract.
+func (n *Network) RegisterFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
+	if start < n.lastStart {
+		panic("device: RegisterFlow starts must be non-decreasing (sort specs by Start)")
+	}
+	f := n.registered(src, dst, size, start, cat)
+	n.lastStart = start
+	n.injEnd = len(n.flows)
+	return f
+}
+
+// AddAppFlow registers a deferred application-plane flow: the
+// injector skips it and it starts only when Launch is called at
+// runtime. Registration order still assigns FlowIDs, so the
+// attempt-flow table is part of the deterministic contract; attempt
+// (>= 1) stamps the flow for forensics and trace attribution. Start
+// carries the earliest possible launch time (informative until Launch
+// overwrites it with the real one).
+func (n *Network) AddAppFlow(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category, attempt int) *Flow {
+	if attempt < 1 {
+		panic("device: AddAppFlow attempt must be >= 1")
+	}
+	f := n.registered(src, dst, size, start, cat)
+	f.Attempt = attempt
+	f.manual = true
+	return f
+}
+
+func (n *Network) registered(src, dst packet.NodeID, size units.ByteSize, start units.Time, cat packet.Category) *Flow {
+	if n.sealed {
+		panic("device: flow registered after SealFlows")
+	}
+	return n.newFlow(src, dst, size, start, cat)
+}
+
+// SealFlows closes the registry and arms the injection chain: one
+// PriStart event that starts every registered flow due at its time,
+// in registration order, then re-arms for the next start. The queue
+// stays shallow no matter how many flows are registered, and starts
+// run before any same-timestamp wire delivery or timer. Call after
+// the last RegisterFlow/AddAppFlow and before running.
+func (n *Network) SealFlows() {
+	if n.direct > 0 {
+		panic("device: SealFlows on a network with AddFlow flows")
+	}
+	n.sealed = true
+	if n.frx != nil {
+		n.frx.Seal(len(n.flows))
+	}
+	n.injNext = 1
+	n.armInjector()
+}
+
+// armInjector schedules the injector at the next registered open-loop
+// flow's start, skipping deferred application flows.
+func (n *Network) armInjector() {
+	for n.injNext < n.injEnd && n.flows[n.injNext].manual {
+		n.injNext++
+	}
+	if n.injNext < n.injEnd {
+		n.Eng.AtArgPri(n.flows[n.injNext].Start, flowInjectFn, n, sim.PriStart)
+	}
+}
+
+func flowInjectFn(a any) {
+	n := a.(*Network)
+	now := n.Eng.Now()
+	for n.injNext < n.injEnd {
+		f := n.flows[n.injNext]
+		if f.manual {
+			n.injNext++
+			continue
+		}
+		if f.Start > now {
+			break
+		}
+		n.injNext++
+		n.HostsByID[f.Src].startFlow(f)
+	}
+	n.armInjector()
+}
+
+// Launch starts a deferred application flow (AddAppFlow) on its
+// source host at the current simulation time. A flow launches at most
+// once.
 func (n *Network) Launch(f *Flow) {
 	if !f.manual {
 		panic("device: Launch on a non-deferred flow")
@@ -425,13 +489,9 @@ func (n *Network) Launch(f *Flow) {
 	if f.launched {
 		panic(fmt.Sprintf("device: flow %d launched twice", f.ID))
 	}
-	sh := n.HostsByID[f.Src]
-	if sh == nil {
-		panic(fmt.Sprintf("device: Launch of flow %d from a shard that does not own host %d", f.ID, f.Src))
-	}
 	f.launched = true
 	f.Start = n.Eng.Now()
-	sh.startFlow(f)
+	n.HostsByID[f.Src].startFlow(f)
 }
 
 // flowStartFn is the capture-free deferred-start callback: workloads

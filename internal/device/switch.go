@@ -61,8 +61,7 @@ type Switch struct {
 	// rnd drives this switch's probabilistic draws (RED marking, loss
 	// injection). Seeded from (Config.Seed, node ID) rather than shared
 	// network-wide, so each switch consumes an independent stream and
-	// draw sequences do not depend on cross-switch event interleaving —
-	// the property that keeps sharded runs bit-identical.
+	// draw sequences do not depend on cross-switch event interleaving.
 	rnd sim.Rand
 
 	out     []outPort

@@ -26,13 +26,8 @@ type wire struct {
 	// pri is the link's engine priority (PriWireBase + global directed-
 	// port index): every directed link delivers under its own same-
 	// timestamp priority, so equal-time deliveries on different links
-	// order identically at any shard count.
+	// have one fixed order.
 	pri uint32
-
-	// staged, when non-nil, marks the peer as living on another shard:
-	// pushes divert into the cross-shard mailbox instead of arming a
-	// local timer (see cluster.go).
-	staged *xlink
 
 	buf   []wireEnt
 	head  int
@@ -65,14 +60,8 @@ func wireDeliverFn(a any) {
 }
 
 // push appends a frame arriving at `at` (≥ every arrival already
-// queued), arming the delivery timer if the chain was idle. A wire
-// whose peer lives on another shard stages instead: the frame is
-// handed to the peer shard's mirror chain at the next barrier.
+// queued), arming the delivery timer if the chain was idle.
 func (w *wire) push(at units.Time, p *packet.Packet) {
-	if w.staged != nil {
-		w.staged.pend = append(w.staged.pend, wireEnt{at, p})
-		return
-	}
 	if w.count == 0 {
 		w.net.Eng.AtArgPri(at, wireDeliverFn, w, w.pri)
 	}

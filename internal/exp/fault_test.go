@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -210,6 +211,11 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative loss", func(rc *RunConfig) { rc.LossRate = -0.1 }, "LossRate"},
 		{"loss above one", func(rc *RunConfig) { rc.LossRate = 1.5 }, "LossRate"},
 		{"credit loss above one", func(rc *RunConfig) { rc.CreditLossRate = 2 }, "CreditLossRate"},
+		{"NaN loss", func(rc *RunConfig) { rc.LossRate = math.NaN() }, "LossRate"},
+		{"NaN credit loss", func(rc *RunConfig) { rc.CreditLossRate = math.NaN() }, "CreditLossRate"},
+		{"NaN burst probability", func(rc *RunConfig) {
+			rc.Faults = &fault.Plan{Burst: &fault.GilbertElliott{PGoodBad: math.NaN()}}
+		}, "NaN"},
 		{"negative horizon", func(rc *RunConfig) { rc.StallHorizon = -1 }, "StallHorizon"},
 		{"bad fault plan", func(rc *RunConfig) {
 			rc.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.LinkDown}}}
@@ -224,6 +230,26 @@ func TestRunConfigValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestShardValidation: the deprecated Options.Shards field accepts
+// only 0 and 1 — the sharded executor was removed — and any other
+// value fails validation with an error that says so.
+func TestShardValidation(t *testing.T) {
+	rc := RunConfig{Topo: faultTestFabric(), Duration: units.Millisecond}
+	for _, k := range []int{0, 1} {
+		rc.Opt.Shards = k
+		if err := rc.Validate(); err != nil {
+			t.Fatalf("Shards=%d rejected: %v", k, err)
+		}
+	}
+	for _, k := range []int{-1, 2, 4} {
+		rc.Opt.Shards = k
+		err := rc.Validate()
+		if err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Fatalf("Shards=%d: Validate = %v, want an error saying the executor was removed", k, err)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"floodgate/internal/forensics"
-	"floodgate/internal/sim"
 	"floodgate/internal/units"
 )
 
@@ -173,40 +172,40 @@ func TestForensicsNoSimImpact(t *testing.T) {
 	}
 }
 
-// TestForensicsShardSchedDeterminism is the load-bearing determinism
-// gate from the issue: the forensics NDJSON (and the human summary)
-// must be bit-identical across every shard count and scheduler. The
-// per-shard sibling recorders see different interleavings of the same
-// global event order; BuildReport's merge must erase the partition
-// entirely.
-func TestForensicsShardSchedDeterminism(t *testing.T) {
+// TestForensicsParallelDeterminism is the load-bearing determinism
+// gate for forensics: the NDJSON report (and the human summary) of the
+// Floodgate incast must be bit-identical between a serial run and
+// replicas executed concurrently on a 4-worker pool.
+func TestForensicsParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	var wantNDJSON, wantSummary string
-	for _, shards := range []int{1, 2, 4} {
-		for _, sched := range []sim.Scheduler{sim.SchedWheel, sim.SchedHeap} {
-			o := Options{Scale: 0.1, Seed: 1, Shards: shards, Scheduler: sched}
-			res := forensicsIncastRun(t, o, true)
-			var b strings.Builder
-			if err := res.Forensics.WriteNDJSON(&b); err != nil {
-				t.Fatal(err)
-			}
-			got, sum := b.String(), res.Forensics.Summary()
-			if wantNDJSON == "" {
-				wantNDJSON, wantSummary = got, sum
-				if !strings.Contains(got, `"type":"episode"`) {
-					t.Fatalf("reference NDJSON has no episodes:\n%s", got)
-				}
-				continue
-			}
-			if got != wantNDJSON {
-				t.Errorf("NDJSON differs at shards=%d sched=%v (%d vs %d bytes)",
-					shards, sched, len(got), len(wantNDJSON))
-			}
-			if sum != wantSummary {
-				t.Errorf("summary differs at shards=%d sched=%v:\n%s\nvs\n%s", shards, sched, sum, wantSummary)
-			}
+	render := func(res *RunResult) (string, string) {
+		var b strings.Builder
+		if err := res.Forensics.WriteNDJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), res.Forensics.Summary()
+	}
+	want := forensicsIncastRun(t, Options{Scale: 0.1, Seed: 1, Parallelism: 1}, true)
+	wantNDJSON, wantSummary := render(want)
+	if !strings.Contains(wantNDJSON, `"type":"episode"`) {
+		t.Fatalf("reference NDJSON has no episodes:\n%s", wantNDJSON)
+	}
+	o := Options{Scale: 0.1, Seed: 1, Parallelism: 4}.norm()
+	o.Obs.Forensics = true
+	tp := o.leafSpine()
+	rc := RunConfig{
+		Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)), Specs: pureIncastSpecs(tp, o.Seed),
+		Duration: 2 * units.Millisecond, Seed: o.Seed, Opt: o,
+	}
+	for i, res := range RunMany([]RunConfig{rc, rc}) {
+		got, sum := render(res)
+		if got != wantNDJSON {
+			t.Errorf("replica %d: NDJSON differs from serial (%d vs %d bytes)", i, len(got), len(wantNDJSON))
+		}
+		if sum != wantSummary {
+			t.Errorf("replica %d: summary differs from serial:\n%s\nvs\n%s", i, sum, wantSummary)
 		}
 	}
 }

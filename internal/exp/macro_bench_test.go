@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"floodgate/internal/app"
@@ -85,42 +83,6 @@ func BenchmarkForensicsOff(b *testing.B) {
 	wall := b.Elapsed().Seconds()
 	b.ReportMetric(simSec/wall, "simsec/wallsec")
 	b.ReportMetric(events/wall, "events/s")
-}
-
-// BenchmarkRunIncastSharded sweeps the shard count over the
-// paper-scale (Scale 1: 160 hosts, 10 ToRs, 4 spines) incast — the
-// "one giant run" the sharded conservative-window executor exists to
-// accelerate. Output is bit-identical at every shard count, so the
-// sub-benchmarks measure pure executor cost: on a multi-core host the
-// events/s curve should rise toward the shard count (ToR-subtree
-// partitions are near-balanced); on a single core it instead prices
-// the barrier + mailbox overhead. GOMAXPROCS is recorded in the
-// BENCH_*.json manifest so the two regimes are never confused.
-func BenchmarkRunIncastSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d/gomaxprocs=%d", shards, runtime.GOMAXPROCS(0)), func(b *testing.B) {
-			o := Options{Scale: 1, Seed: 1, Shards: shards}.norm()
-			b.ReportAllocs()
-			var simSec, events float64
-			for i := 0; i < b.N; i++ {
-				tp := o.leafSpine()
-				specs := pureIncastSpecs(tp, o.Seed)
-				res := Run(RunConfig{
-					Topo: tp, Scheme: WithFloodgate(o, DCQCN(o), baseBDPOf(tp)),
-					Specs: specs, Duration: 2 * units.Millisecond,
-					Seed: o.Seed, Opt: o,
-				})
-				if res.Completed != res.Total {
-					b.Fatalf("flows incomplete: %d/%d", res.Completed, res.Total)
-				}
-				simSec += res.Net.Eng.Now().Seconds()
-				events += float64(res.Processed())
-			}
-			wall := b.Elapsed().Seconds()
-			b.ReportMetric(simSec/wall, "simsec/wallsec")
-			b.ReportMetric(events/wall, "events/s")
-		})
-	}
 }
 
 // BenchmarkRunFig2Row executes one row of the Fig 2 table (WebServer

@@ -46,9 +46,7 @@ type ObsConfig struct {
 	// time-budget attribution and incast-episode detection (see
 	// internal/forensics). Independent of Dir — with Dir set the report
 	// is also written as <label>.forensics.ndjson; without it the
-	// report is only attached to RunResult. Unlike Dir, Forensics
-	// composes with Shards > 1 (each shard records into a sibling
-	// recorder, merged deterministically at the end of the run).
+	// report is only attached to RunResult.
 	Forensics bool
 }
 

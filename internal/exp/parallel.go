@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -86,37 +84,12 @@ var simSlots = newLimiter()
 // parallelism resolves the Options knob: 0 means every core
 // (GOMAXPROCS), 1 reproduces the serial path exactly (jobs run inline
 // on the calling goroutine, no pool involved), n > 1 caps the pool.
-//
-// Sharded runs multiply: each concurrent simulation drives Shards
-// goroutines, so a par×shards product above GOMAXPROCS would
-// oversubscribe the machine with barrier-synchronized workers (the
-// worst kind of oversubscription — every shard waits on the slowest).
-// The knob is clamped to GOMAXPROCS/Shards with a one-time warning;
-// results are unaffected because parallelism never changes output.
 func (o Options) parallelism() int {
-	par := o.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	if o.Parallelism <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if k := o.shards(); k > 1 {
-		max := runtime.GOMAXPROCS(0) / k
-		if max < 1 {
-			max = 1
-		}
-		if par > max {
-			warnOversub.Do(func() {
-				fmt.Fprintf(os.Stderr,
-					"exp: parallelism %d x %d shards oversubscribes GOMAXPROCS=%d; clamping to %d concurrent runs\n",
-					par, k, runtime.GOMAXPROCS(0), max)
-			})
-			par = max
-		}
-	}
-	return par
+	return o.Parallelism
 }
-
-// warnOversub rate-limits the oversubscription clamp warning.
-var warnOversub sync.Once
 
 // runJobs executes job(0..n-1) on the shared pool and returns the
 // results indexed by submission order. With parallelism 1 (or a single

@@ -36,6 +36,47 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFig2Fig6ParallelDeterminism: the motivating incast sweep (fig2)
+// and the full mixed-workload comparison (fig6) render byte-identical
+// tables serially and through a 4-worker pool.
+func TestFig2Fig6ParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	windowOverride = fullIncastMixDuration / 8
+	defer func() { windowOverride = 0 }()
+	for _, fig := range []struct {
+		name string
+		run  func(Options) []Table
+	}{
+		{"fig2", Fig2},
+		{"fig6", Fig6},
+	} {
+		want := renderAll(fig.run(Options{Scale: 0.1, Seed: 1, Parallelism: 1}))
+		if got := renderAll(fig.run(Options{Scale: 0.1, Seed: 1, Parallelism: 4})); got != want {
+			t.Fatalf("%s: 4-worker output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				fig.name, want, got)
+		}
+	}
+}
+
+// TestFaultMatrixParallelDeterminism extends the guarantee to the
+// fault plane: the faultmatrix experiment — link flaps, switch
+// restarts and Gilbert–Elliott burst loss — renders byte-identical
+// tables serially and through a 4-worker pool.
+func TestFaultMatrixParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	windowOverride = fullIncastMixDuration / 8
+	defer func() { windowOverride = 0 }()
+	want := renderAll(FaultMatrix(Options{Scale: 0.1, Seed: 1, Parallelism: 1}))
+	if got := renderAll(FaultMatrix(Options{Scale: 0.1, Seed: 1, Parallelism: 4})); got != want {
+		t.Fatalf("faultmatrix: 4-worker output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			want, got)
+	}
+}
+
 // TestRunManyMatchesSerial checks RunMany against a loop of Run calls
 // on the same configs: same completion counts, same buffer peaks, and
 // results indexed by submission order.

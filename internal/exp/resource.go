@@ -29,18 +29,16 @@ func ResourceOverhead(o Options) []Table {
 	res := runMixWith(o, tp, workload.WebServer, s)
 
 	maxWins := 0
-	for _, n := range res.Cluster.Nets {
-		for _, sw := range n.Switches {
-			if sw == nil {
-				continue
-			}
-			m, ok := sw.FC().(*core.Module)
-			if !ok {
-				continue
-			}
-			if m.MaxWindows() > maxWins {
-				maxWins = m.MaxWindows()
-			}
+	for _, sw := range res.Net.Switches {
+		if sw == nil {
+			continue
+		}
+		m, ok := sw.FC().(*core.Module)
+		if !ok {
+			continue
+		}
+		if m.MaxWindows() > maxWins {
+			maxWins = m.MaxWindows()
 		}
 	}
 	data := float64(res.Stats.WireTotal(stats.WireData))

@@ -35,15 +35,11 @@ type Options struct {
 	// Obs switches on per-run metrics sampling and timeline export
 	// (see obs.go). Enabling it never changes table output.
 	Obs ObsConfig
-	// Scheduler selects the engine's event-queue implementation. The
-	// zero value is the timing wheel; SchedHeap restores the single
-	// global heap. Both execute events in the identical order, so every
-	// table is bit-identical across the choice (see sched_test.go).
-	Scheduler sim.Scheduler
-	// Shards splits each run's topology into this many partitions, one
-	// engine per partition, advanced in conservative lookahead windows
-	// (see shardexec.go and DESIGN.md §10). 0 and 1 both mean a single
-	// unsharded engine. Output is bit-identical at every shard count.
+	// Shards is accepted only as 0 or 1; any other value fails
+	// RunConfig.Validate.
+	//
+	// Deprecated: the sharded executor was removed (DESIGN.md §10);
+	// every run executes on one engine.
 	Shards int
 	// App overlays a small closed-loop request workload on experiments
 	// that support it (currently faultmatrix), appending SLO columns to
@@ -75,14 +71,6 @@ func (o Options) norm() Options {
 		o.Seed = 1
 	}
 	return o
-}
-
-// shards normalises the shard count (0 means unsharded).
-func (o Options) shards() int {
-	if o.Shards < 1 {
-		return 1
-	}
-	return o.Shards
 }
 
 // hostsPerToR maps scale to rack width (paper: 16). The floor of 6
@@ -217,10 +205,10 @@ func (rc RunConfig) Validate() error {
 	if rc.Drain < 0 {
 		return fmt.Errorf("exp: RunConfig.Drain must be non-negative, got %v", rc.Drain)
 	}
-	if rc.LossRate < 0 || rc.LossRate > 1 {
+	if !(rc.LossRate >= 0 && rc.LossRate <= 1) {
 		return fmt.Errorf("exp: RunConfig.LossRate %g outside [0, 1]", rc.LossRate)
 	}
-	if rc.CreditLossRate < 0 || rc.CreditLossRate > 1 {
+	if !(rc.CreditLossRate >= 0 && rc.CreditLossRate <= 1) {
 		return fmt.Errorf("exp: RunConfig.CreditLossRate %g outside [0, 1]", rc.CreditLossRate)
 	}
 	if rc.StallHorizon < 0 {
@@ -231,8 +219,8 @@ func (rc RunConfig) Validate() error {
 			return err
 		}
 	}
-	if rc.Opt.Shards < 0 {
-		return fmt.Errorf("exp: Options.Shards must be non-negative, got %d", rc.Opt.Shards)
+	if rc.Opt.Shards != 0 && rc.Opt.Shards != 1 {
+		return fmt.Errorf("exp: Options.Shards = %d, but the sharded executor was removed; leave it 0 or 1", rc.Opt.Shards)
 	}
 	if rc.App != nil {
 		if rc.App.Requests <= 0 {
@@ -245,23 +233,19 @@ func (rc RunConfig) Validate() error {
 			return fmt.Errorf("exp: RunConfig.App.Deadline must be positive, got %v", rc.App.Deadline)
 		}
 	}
-	if rc.Opt.Obs.Enabled() && rc.Opt.shards() > 1 {
-		return fmt.Errorf("exp: Obs requires Shards <= 1 (the sampler and trace ring are single-engine)")
-	}
 	return nil
 }
 
 // RunResult carries the collector plus run metadata.
 type RunResult struct {
 	Scheme string
-	// Stats is the (shard-merged) collector; at Shards <= 1 it is simply
-	// the run's only collector.
-	Stats *stats.Collector
-	// Net is shard 0's network: at Shards <= 1 it is the whole
-	// simulation (the historical API). Sharded aggregates live on
-	// Cluster and the RunResult helpers below.
-	Net     *device.Network
-	Cluster *device.Cluster
+	Stats  *stats.Collector
+	// Net is the simulated network: its engine, devices and flows.
+	Net *device.Network
+	// Cluster is the same network as Net.
+	//
+	// Deprecated: use Net.
+	Cluster *device.Network
 
 	Duration  units.Duration // workload window
 	Completed int
@@ -283,25 +267,14 @@ type RunResult struct {
 	AppRecords []app.Record
 }
 
-// shardCount is one shard's flow-completion counter. Each shard gets
-// its own heap allocation — not a slot in a shared slice — so the hot
-// OnFlowDone increments of different shards never touch the same cache
-// line, and no mutable value is aliased across shard Networks (the
-// shardsafety lint rule's contract). The coordinator sums the counters
-// only at barrier windows, where the shard engines are quiescent.
-type shardCount struct {
-	n int
-	_ [120]byte // pad past a cache line so adjacent size-class allocations cannot share one
-}
+// DeliveredBytes is the payload delivered to receivers.
+func (r *RunResult) DeliveredBytes() units.ByteSize { return r.Net.DeliveredBytes() }
 
-// DeliveredBytes is the payload delivered across every shard.
-func (r *RunResult) DeliveredBytes() units.ByteSize { return r.Cluster.DeliveredBytes() }
+// FaultStats reports the run's fault-plane counters.
+func (r *RunResult) FaultStats() device.FaultStats { return r.Net.FaultStats() }
 
-// FaultStats aggregates fault counters across every shard.
-func (r *RunResult) FaultStats() device.FaultStats { return r.Cluster.FaultStats() }
-
-// Processed is the executed event count summed over the shard engines.
-func (r *RunResult) Processed() uint64 { return r.Cluster.Processed() }
+// Processed is the engine's executed event count.
+func (r *RunResult) Processed() uint64 { return r.Net.Eng.Processed }
 
 // Run executes one configured simulation: install the workload, run
 // the workload window plus drain time (stopping early once every flow
@@ -322,23 +295,19 @@ func Run(rc RunConfig) *RunResult {
 		panic(err)
 	}
 	opt := rc.Opt.norm()
-	k := opt.shards()
 	binW := rc.BinWidth
 	if binW == 0 {
 		binW = 10 * units.Microsecond
 	}
-	engines := make([]*sim.Engine, k)
-	collectors := make([]*stats.Collector, k)
-	for i := range engines {
-		engines[i] = sim.NewEngineWith(opt.Scheduler)
-		collectors[i] = stats.NewCollector(binW)
-	}
+	eng := sim.NewEngine()
 	ecn := device.ECNConfig{Enable: rc.Scheme.ECN, KMin: 40 * units.KB, KMax: 160 * units.KB, PMax: 0.2}
 	if rc.ECN != nil {
 		ecn = *rc.ECN
 	}
 	cfg := device.Config{
 		Topo:           rc.Topo,
+		Engine:         eng,
+		Stats:          stats.NewCollector(binW),
 		Seed:           rc.Seed ^ 0x5eed,
 		BufferSize:     rc.BufferSize,
 		RTO:            opt.stretch(units.Millisecond),
@@ -361,32 +330,26 @@ func Run(rc RunConfig) *RunResult {
 	}
 	// Observability: a private registry, sampler and trace ring per run.
 	// Sampler ticks only read state, so enabling this cannot change the
-	// simulation outcome (see obs.go and DESIGN.md §8). Validate rejects
-	// Obs with Shards > 1, so the single engine here is the whole run.
+	// simulation outcome (see obs.go and DESIGN.md §8).
 	var obs *obsRun
 	if opt.Obs.Enabled() {
-		obs = newObsRun(rc, opt, engines[0], &cfg)
+		obs = newObsRun(rc, opt, eng, &cfg)
 	}
-	// Forensics recording is shard-safe (NewCluster forks a sibling
-	// recorder per extra shard) and read back only after Finalize, so
-	// unlike the sampler it composes with Shards > 1.
 	if opt.Obs.Forensics {
 		cfg.Forensics = forensics.NewRecorder()
 	}
-	cluster := device.NewCluster(cfg, engines, collectors, topo.Partition(rc.Topo, k))
-	cluster.InstallFaults(rc.Faults, rc.Seed)
+	net := device.New(cfg)
+	net.InstallFaults(rc.Faults, rc.Seed)
 	if obs != nil {
 		obs.start()
 	}
 
-	// Register the whole workload up front (FlowID = global spec order)
-	// and let the per-shard injection chains start flows at their Start
-	// times; the event queues stay shallow even for millions of
-	// arrivals. Completion is counted per shard (a flow finishes on its
-	// receiver's shard) and aggregated only at barriers.
+	// Register the whole workload up front (FlowID = spec order) and let
+	// the injection chain start flows at their Start times; the event
+	// queue stays shallow even for millions of arrivals.
 	total := len(rc.Specs)
 	for _, s := range rc.Specs {
-		cluster.AddFlow(s.Src, s.Dst, s.Size, s.Start, s.Cat)
+		net.RegisterFlow(s.Src, s.Dst, s.Size, s.Start, s.Cat)
 	}
 	if rc.Source != nil {
 		// Streamed specs register one at a time — the source is never
@@ -399,7 +362,7 @@ func Run(rc RunConfig) *RunResult {
 			if !ok {
 				break
 			}
-			cluster.AddFlow(s.Src, s.Dst, s.Size, s.Start, s.Cat)
+			net.RegisterFlow(s.Src, s.Dst, s.Size, s.Start, s.Cat)
 			total++
 		}
 	}
@@ -408,83 +371,68 @@ func Run(rc RunConfig) *RunResult {
 	var dispatch *app.Dispatch
 	if rc.App != nil {
 		reqs := app.GenerateRequests(rc.Topo, *rc.App, rc.Seed^0xa44)
-		dispatch = app.Build(cluster, reqs, *rc.App)
+		dispatch = app.Build(net, reqs, *rc.App)
 	}
-	cluster.SealFlows()
-	var planes []*app.Plane
+	net.SealFlows()
+
+	// The run stops at the instant the last open-loop flow completes or
+	// the last request resolves (quorum, give-up or shed).
+	done := 0
+	resolved := func() {
+		done++
+		if done == total {
+			eng.Stop()
+		}
+	}
+	var plane *app.Plane
 	if dispatch != nil {
 		total += dispatch.NumRequests()
-		planes = make([]*app.Plane, k)
-		for i, n := range cluster.Nets {
-			planes[i] = app.NewPlane(n, dispatch)
-		}
-	}
-	done := make([]*shardCount, k)
-	for i, n := range cluster.Nets {
-		sd := &shardCount{}
-		done[i] = sd
-		if planes != nil {
-			pl := planes[i]
-			n.OnFlowDone = func(f *device.Flow, now units.Time) {
-				if f.Attempt == 0 {
-					sd.n++
-				}
-				pl.OnFlowDone(f, now)
+		plane = app.NewPlane(net, dispatch)
+		plane.OnResolve = resolved
+		net.OnFlowDone = func(f *device.Flow, now units.Time) {
+			if f.Attempt == 0 {
+				resolved()
 			}
-		} else {
-			n.OnFlowDone = func(*device.Flow, units.Time) { sd.n++ }
+			plane.OnFlowDone(f, now)
 		}
-	}
-	doneCount := func() int {
-		d := 0
-		for _, c := range done {
-			d += c.n
-		}
-		// Each request is owned by exactly one shard's plane, so the sum
-		// counts every resolved request once; resolution is monotone, so
-		// the barrier read is a valid progress signal.
-		for _, pl := range planes {
-			d += pl.Resolved()
-		}
-		return d
+	} else {
+		net.OnFlowDone = func(*device.Flow, units.Time) { resolved() }
 	}
 
 	drain := rc.Drain
 	if drain == 0 {
 		// DCQCN's additive recovery is slow on the stretched clock;
-		// leave generous room for laggards (the run stops at the first
-		// barrier after every flow completes, so idle drain is cheap).
+		// leave generous room for laggards (the run stops as soon as
+		// every flow completes, so idle drain is free).
 		drain = 4*rc.Duration + 400*units.Millisecond
 	}
 
 	// Progress watchdog: faulted runs can wedge in ways loss-free runs
 	// cannot (dead links, restarted peers), so they get one by default.
-	// Stall detection runs at barriers (see shardexec.go).
 	horizon := rc.StallHorizon
 	if horizon == 0 && rc.Faults != nil {
 		horizon = 4 * cfg.RTO
 	}
-
-	// The watchdog's app probe folds plane state (pending requests,
-	// armed retry/hedge timers, open breakers) into any StallDiagnosis;
-	// nil when the app plane is off.
-	var appState appProbe
-	if planes != nil {
-		appState = func(now units.Time) (pending, retries, breakers int) {
-			for _, pl := range planes {
-				p, r, b := pl.StallState(now)
-				pending += p
-				retries += r
-				breakers += b
-			}
-			return
-		}
+	var diag *StallDiagnosis
+	var wd *sim.Watchdog
+	if horizon > 0 {
+		progress := func() int64 { return int64(net.DeliveredBytes()) }
+		wd = sim.NewWatchdog(eng, horizon, progress, func() {
+			diag = stallDiagnosis(net, plane, horizon, total-done)
+			net.Metrics.WatchdogTrips.Inc()
+			eng.Stop()
+		})
 	}
-	w := runWindows(cluster, units.Time(rc.Duration+drain), horizon, doneCount, total, appState)
-	cluster.Finalize()
+	if total > 0 {
+		eng.Run(units.Time(rc.Duration + drain))
+	}
+	if wd != nil {
+		wd.Stop()
+	}
+	net.Finalize()
 	var frep *forensics.Report
 	if opt.Obs.Forensics {
-		flows := cluster.Flows()
+		flows := net.Flows()
 		metas := make([]forensics.FlowMeta, 0, len(flows))
 		for _, f := range flows {
 			if !f.Launched() {
@@ -496,7 +444,7 @@ func Run(rc RunConfig) *RunResult {
 				Attempt: f.Attempt,
 			})
 		}
-		frep = forensics.BuildReport(cluster.Recorders(), metas)
+		frep = forensics.BuildReport(cfg.Forensics, metas)
 	}
 	if obs != nil {
 		if err := obs.export(frep); err != nil {
@@ -505,22 +453,46 @@ func Run(rc RunConfig) *RunResult {
 	}
 	res := &RunResult{
 		Scheme:    rc.Scheme.Name,
-		Stats:     cluster.MergedStats(),
-		Net:       cluster.Nets[0],
-		Cluster:   cluster,
+		Stats:     net.Stats,
+		Net:       net,
+		Cluster:   net,
 		Duration:  rc.Duration,
-		Completed: doneCount(),
+		Completed: done,
 		Total:     total,
-		Stalled:   w.stalled,
-		Diagnosis: w.diagnosis,
+		Stalled:   diag != nil,
+		Diagnosis: diag,
 		Forensics: frep,
 	}
-	if planes != nil {
-		res.AppRecords = app.Collect(planes)
+	if plane != nil {
+		res.AppRecords = plane.Records()
 		slo := app.BuildSLO(res.AppRecords, rc.Duration)
 		res.SLO = &slo
 	}
 	return res
+}
+
+// stallDiagnosis snapshots where a wedged run's undelivered bytes are
+// stuck, folding in the app plane's state when one is installed.
+func stallDiagnosis(net *device.Network, plane *app.Plane, horizon units.Duration, incomplete int) *StallDiagnosis {
+	now := net.Eng.Now()
+	ss := net.StallSnapshot()
+	d := &StallDiagnosis{
+		At:                now,
+		Horizon:           horizon,
+		DeliveredBytes:    ss.DeliveredBytes,
+		IncompleteFlows:   incomplete,
+		ExhaustedWindows:  ss.ExhaustedWindows,
+		WindowDeficit:     ss.WindowDeficit,
+		ParkedBytes:       ss.ParkedBytes,
+		PausedSwitchPorts: ss.PausedSwitchPorts,
+		PausedHosts:       ss.PausedHosts,
+		LinksDown:         ss.LinksDown,
+	}
+	if plane != nil {
+		d.HasApp = true
+		d.PendingRequests, d.RetryTimers, d.OpenBreakers = plane.StallState(now)
+	}
+	return d
 }
 
 // incastMixSpecs builds the paper's default §6 workload: Poisson

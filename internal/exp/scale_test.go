@@ -4,15 +4,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"floodgate/internal/sim"
 )
 
 // TestExperimentFabricsUseStructuralRouter pins that the fabrics the
 // paper figures run on froze with the structural router — which is
-// what makes TestShardDeterminism / TestShardFaultMatrixBitIdentical
-// (byte-identity across shards × par × schedulers) a regression gate
-// for the router swap itself, not just for the executor.
+// what makes the golden smoke tables (TestSmokeAllExperiments) a
+// regression gate for the router itself.
 func TestExperimentFabricsUseStructuralRouter(t *testing.T) {
 	o := DefaultOptions().norm()
 	if got := o.leafSpine().RouterKind(); got != "structural" {
@@ -83,31 +80,20 @@ func TestScaleIncastCompletes(t *testing.T) {
 	}
 }
 
-// TestScaleIncastShardDeterminism extends the bit-identity matrix to
-// the new experiment: the scaleincast tables render byte-identical
-// at every shards × par × scheduler combination on the Clos preset.
-func TestScaleIncastShardDeterminism(t *testing.T) {
+// TestScaleIncastParallelDeterminism extends the bit-identity
+// guarantee to the scale experiment: the scaleincast tables on the
+// Clos preset render byte-identical serially and through a 4-worker
+// pool.
+func TestScaleIncastParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	windowOverride = fullScaleIncastDuration / 2
 	defer func() { windowOverride = 0 }()
-	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1, Scheduler: sim.SchedWheel, Topo: "clos"}
-	want := renderAll(ScaleIncast(base))
-	for _, shards := range []int{1, 2, 4} {
-		for _, par := range []int{1, 4} {
-			for _, sched := range []sim.Scheduler{sim.SchedWheel, sim.SchedHeap} {
-				o := base
-				o.Shards, o.Parallelism, o.Scheduler = shards, par, sched
-				if o == base {
-					continue
-				}
-				if got := renderAll(ScaleIncast(o)); got != want {
-					t.Fatalf("shards=%d par=%d sched=%v diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-						shards, par, sched, want, got)
-				}
-			}
-		}
+	want := renderAll(ScaleIncast(Options{Scale: 0.1, Seed: 1, Parallelism: 1, Topo: "clos"}))
+	if got := renderAll(ScaleIncast(Options{Scale: 0.1, Seed: 1, Parallelism: 4, Topo: "clos"})); got != want {
+		t.Fatalf("scaleincast: 4-worker output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			want, got)
 	}
 }
 

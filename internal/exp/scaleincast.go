@@ -122,7 +122,7 @@ func scaleIncastSpecs(tp *topo.Topology, seed uint64, degree int) []workload.Flo
 // checked structurally here (kind + O(total ports) bound); the live
 // heap budget is nondeterministic and asserted by the scale tests
 // and benchmarks instead, keeping this table byte-identical across
-// shards, parallelism and schedulers.
+// parallelism.
 func ScaleIncast(o Options) []Table {
 	o = o.norm()
 	tp, preset, err := o.scaleTopo("clos100k")

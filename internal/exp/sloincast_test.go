@@ -5,39 +5,23 @@ import (
 	"testing"
 
 	"floodgate/internal/app"
-	"floodgate/internal/sim"
 	"floodgate/internal/units"
 )
 
-// TestSLOIncastShardDeterminism extends the bit-identity guarantee to
-// the closed-loop application plane: the sloincast tables — deadline
-// timers, jittered retries, hedges, and breaker decisions riding on
-// the sharded engine — must render byte-identical for every
-// combination of shards ∈ {1, 2, 4}, par ∈ {1, 4}, and both event
-// schedulers. The baseline is the fully serial unsharded wheel run.
-func TestSLOIncastShardDeterminism(t *testing.T) {
+// TestSLOIncastParallelDeterminism extends the bit-identity guarantee
+// to the closed-loop application plane: the sloincast tables —
+// deadline timers, jittered retries, hedges and breaker decisions —
+// render byte-identical serially and through a 4-worker pool.
+func TestSLOIncastParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
 	windowOverride = fullIncastMixDuration / 8
 	defer func() { windowOverride = 0 }()
-
-	base := Options{Scale: 0.1, Seed: 1, Parallelism: 1, Shards: 1, Scheduler: sim.SchedWheel}
-	want := renderAll(SLOIncast(base))
-	for _, shards := range []int{1, 2, 4} {
-		for _, par := range []int{1, 4} {
-			for _, sched := range []sim.Scheduler{sim.SchedWheel, sim.SchedHeap} {
-				o := base
-				o.Shards, o.Parallelism, o.Scheduler = shards, par, sched
-				if o == base {
-					continue
-				}
-				if got := renderAll(SLOIncast(o)); got != want {
-					t.Fatalf("sloincast: shards=%d par=%d sched=%v diverges from serial unsharded:\n--- want ---\n%s\n--- got ---\n%s",
-						shards, par, sched, want, got)
-				}
-			}
-		}
+	want := renderAll(SLOIncast(Options{Scale: 0.1, Seed: 1, Parallelism: 1}))
+	if got := renderAll(SLOIncast(Options{Scale: 0.1, Seed: 1, Parallelism: 4})); got != want {
+		t.Fatalf("sloincast: 4-worker output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			want, got)
 	}
 }
 

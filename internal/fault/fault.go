@@ -82,7 +82,7 @@ type GilbertElliott struct {
 // half of all frames and lasts four frames on average, while the Good
 // state is lossless. mean must lie in (0, 0.5).
 func BurstWithMeanLoss(mean float64) *GilbertElliott {
-	if mean <= 0 || mean >= 0.5 {
+	if !(mean > 0 && mean < 0.5) { // also rejects NaN
 		panic(fmt.Sprintf("fault: burst mean loss %v outside (0, 0.5)", mean))
 	}
 	const (
@@ -156,7 +156,7 @@ func (p *Plan) Validate() error {
 			{"PGoodBad", g.PGoodBad}, {"PBadGood", g.PBadGood},
 			{"LossGood", g.LossGood}, {"LossBad", g.LossBad},
 		} {
-			if pr.v < 0 || pr.v > 1 {
+			if !(pr.v >= 0 && pr.v <= 1) { // also rejects NaN
 				return fmt.Errorf("fault: burst %s = %v outside [0, 1]", pr.name, pr.v)
 			}
 		}

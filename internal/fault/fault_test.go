@@ -44,6 +44,8 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{"unknown kind", Plan{Events: []Event{{Kind: Kind(99)}}}},
 		{"burst prob out of range", Plan{Burst: &GilbertElliott{PGoodBad: 1.5}}},
 		{"negative burst prob", Plan{Burst: &GilbertElliott{PBadGood: -0.1}}},
+		{"NaN burst prob", Plan{Burst: &GilbertElliott{PGoodBad: math.NaN()}}},
+		{"NaN burst loss", Plan{Burst: &GilbertElliott{LossBad: math.NaN()}}},
 		{"degenerate burst link", Plan{Burst: &GilbertElliott{}, BurstLinks: []Link{{A: 2, B: 2}}}},
 	}
 	for _, c := range cases {
@@ -89,7 +91,7 @@ func TestBurstWithMeanLossStationaryRate(t *testing.T) {
 }
 
 func TestBurstWithMeanLossPanicsOutOfRange(t *testing.T) {
-	for _, bad := range []float64{0, -0.1, 0.5, 0.9} {
+	for _, bad := range []float64{0, -0.1, 0.5, 0.9, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -25,7 +25,7 @@
 // In a loss-free run the components therefore sum exactly to the FCT;
 // with drops the clamped residual makes the sum an upper-bounded
 // approximation. Everything is integer picoseconds, so reports are
-// bit-identical across shard counts, schedulers and parallelism.
+// bit-identical across parallelism.
 package forensics
 
 import (
@@ -79,10 +79,8 @@ const (
 	SendNet                       // nothing to send; waiting on the network
 )
 
-// flowAcc is one flow's accumulator. comp entries for sender states
-// are written only by the source host's shard; hop and VOQ entries
-// only by the shard owning the switch — so cross-shard merge is a
-// plain element-wise sum.
+// flowAcc is one flow's accumulator: sender-state components come
+// from the source host, hop and VOQ components from the switches.
 type flowAcc struct {
 	comp       [NumComps]units.Duration
 	parked     units.Duration // total parked time, all segments
@@ -111,7 +109,7 @@ func (e *Episode) Open() bool { return e.End == 0 }
 
 type epKey struct{ sw, dst packet.NodeID }
 
-// Recorder accumulates forensic state for one shard. Hooks must be
+// Recorder accumulates forensic state for one run. Hooks must be
 // called behind a caller-side nil check (the zero-cost disabled path);
 // methods assume a non-nil receiver.
 type Recorder struct {
@@ -120,14 +118,10 @@ type Recorder struct {
 	open     map[epKey]int // (switch, dst) -> open episode index
 }
 
-// NewRecorder returns an empty per-shard recorder.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{flows: make([]flowAcc, 1), open: make(map[epKey]int)}
 }
-
-// Sibling mints an independent recorder for another shard of the same
-// run; BuildReport merges them deterministically.
-func (r *Recorder) Sibling() *Recorder { return NewRecorder() }
 
 // Seal pre-sizes the flow table to n entries so steady-state hooks
 // never grow it (call once, after the run's flows are registered).

@@ -161,25 +161,24 @@ func TestEpisodeLifecycle(t *testing.T) {
 	}
 }
 
-// TestBuildReportMergesShards: per-flow accumulators sum element-wise
-// across sibling recorders, episodes concatenate and sort by (Start,
-// Switch, Dst, End) with sorted victims, and the wire residual closes
-// each done flow's budget to exactly its FCT.
-func TestBuildReportMergesShards(t *testing.T) {
-	a, b := NewRecorder(), NewRecorder()
-	a.Seal(2)
-	b.Seal(2)
-	a.FlowState(1, SendSendable, tm(0), 0)
-	a.FlowState(1, SendNet, tm(4), 0) // 4us serialization on shard a
-	b.Hop(1, 3*us, us, us)            // queue 2, pfc 1, ser 1 on shard b
-	b.Unparked(1, true, 2*us, us)     // voq 1, credit 1
-	b.EpisodeStart(9, 50, tm(2))
-	b.EpisodeEnd(9, 50, tm(6))
-	a.EpisodeStart(3, 50, tm(2)) // same start, lower switch id: sorts first
-	a.EpisodeEnd(3, 50, tm(7))
+// TestBuildReportSortsEpisodes: the report carries each flow's
+// accumulated components, episodes sort by (Start, Switch, Dst, End)
+// with sorted victims, and the wire residual closes each done flow's
+// budget to exactly its FCT.
+func TestBuildReportSortsEpisodes(t *testing.T) {
+	r := NewRecorder()
+	r.Seal(2)
+	r.FlowState(1, SendSendable, tm(0), 0)
+	r.FlowState(1, SendNet, tm(4), 0) // 4us serialization
+	r.Hop(1, 3*us, us, us)            // queue 2, pfc 1, ser 1
+	r.Unparked(1, true, 2*us, us)     // voq 1, credit 1
+	r.EpisodeStart(9, 50, tm(2))
+	r.EpisodeEnd(9, 50, tm(6))
+	r.EpisodeStart(3, 50, tm(2)) // same start, lower switch id: sorts first
+	r.EpisodeEnd(3, 50, tm(7))
 
 	metas := []FlowMeta{{ID: 1, Src: 10, Dst: 50, Size: 3000, Start: tm(0), Finish: tm(12), Done: true}}
-	rep := BuildReport([]*Recorder{a, b}, metas)
+	rep := BuildReport(r, metas)
 	if len(rep.Flows) != 1 {
 		t.Fatalf("flows = %d", len(rep.Flows))
 	}
@@ -202,7 +201,7 @@ func TestBuildReportMergesShards(t *testing.T) {
 		t.Errorf("components sum to %v, FCT %v", sum, fb.FCT)
 	}
 	if len(rep.Episodes) != 2 || rep.Episodes[0].Switch != 3 || rep.Episodes[1].Switch != 9 {
-		t.Errorf("episode merge order wrong: %+v", rep.Episodes)
+		t.Errorf("episode order wrong: %+v", rep.Episodes)
 	}
 	if rep.TotalParked != 2*us {
 		t.Errorf("total parked = %v, want 2us", rep.TotalParked)
@@ -237,7 +236,7 @@ func TestWriteNDJSONShape(t *testing.T) {
 	r.FlowState(1, SendNet, tm(4), 0)
 	r.EpisodeStart(9, 50, tm(2))
 	r.EpisodeEnd(9, 50, tm(6))
-	rep := BuildReport([]*Recorder{r},
+	rep := BuildReport(r,
 		[]FlowMeta{{ID: 1, Src: 10, Dst: 50, Size: 3000, Start: tm(0), Finish: tm(8), Done: true}})
 	var b strings.Builder
 	if err := rep.WriteNDJSON(&b); err != nil {
@@ -265,7 +264,7 @@ func TestWriteNDJSONShape(t *testing.T) {
 // completed flows, and a recorder that never saw a flow id contributes
 // nothing.
 func TestSummaryEmpty(t *testing.T) {
-	rep := BuildReport([]*Recorder{NewRecorder()}, nil)
+	rep := BuildReport(NewRecorder(), nil)
 	s := rep.Summary()
 	if !strings.Contains(s, "0 flows") {
 		t.Errorf("empty summary: %q", s)

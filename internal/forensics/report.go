@@ -35,32 +35,24 @@ type FlowBudget struct {
 	FCT    units.Duration // Finish - Start; zero unless Done
 }
 
-// Report is the merged, deterministic forensic result of one run.
+// Report is the deterministic forensic result of one run.
 type Report struct {
 	Flows       []FlowBudget // in FlowID order
 	Episodes    []Episode    // sorted by (Start, Switch, Dst, End)
 	TotalParked units.Duration
 }
 
-// BuildReport merges the per-shard recorders into one report. Each
-// budget component of a flow is written by exactly one shard (sender
-// states by the source host's shard, hop/VOQ stamps by the owning
-// switch's shard) or accumulates additively, so the merge is an
-// element-wise sum; episodes are concatenated and sorted by a total
-// key. The result is therefore identical for any shard partition.
-func BuildReport(recs []*Recorder, metas []FlowMeta) *Report {
+// BuildReport assembles the recorder's per-flow budgets for the given
+// flows, closing each done flow's budget with the wire residual, and
+// lists the episodes sorted by a total key.
+func BuildReport(r *Recorder, metas []FlowMeta) *Report {
 	rep := &Report{Flows: make([]FlowBudget, 0, len(metas))}
 	for _, meta := range metas {
 		fb := FlowBudget{FlowMeta: meta}
-		for _, r := range recs {
-			if int(meta.ID) >= len(r.flows) {
-				continue
-			}
+		if int(meta.ID) < len(r.flows) {
 			a := &r.flows[meta.ID]
-			for c := range fb.Comp {
-				fb.Comp[c] += a.comp[c]
-			}
-			fb.Parked += a.parked
+			fb.Comp = a.comp
+			fb.Parked = a.parked
 		}
 		rep.TotalParked += fb.Parked
 		if meta.Done {
@@ -75,14 +67,12 @@ func BuildReport(recs []*Recorder, metas []FlowMeta) *Report {
 		}
 		rep.Flows = append(rep.Flows, fb)
 	}
-	for _, r := range recs {
-		for i := range r.episodes {
-			ep := r.episodes[i]
-			ep.Victims = append([]packet.FlowID(nil), ep.Victims...)
-			sort.Slice(ep.Victims, func(a, b int) bool { return ep.Victims[a] < ep.Victims[b] })
-			ep.victimSet = nil
-			rep.Episodes = append(rep.Episodes, ep)
-		}
+	for i := range r.episodes {
+		ep := r.episodes[i]
+		ep.Victims = append([]packet.FlowID(nil), ep.Victims...)
+		sort.Slice(ep.Victims, func(a, b int) bool { return ep.Victims[a] < ep.Victims[b] })
+		ep.victimSet = nil
+		rep.Episodes = append(rep.Episodes, ep)
 	}
 	eps := rep.Episodes
 	sort.Slice(eps, func(a, b int) bool {
@@ -103,7 +93,7 @@ func BuildReport(recs []*Recorder, metas []FlowMeta) *Report {
 // WriteNDJSON renders the report as newline-delimited JSON: one meta
 // line, one line per flow, one line per episode. All values are
 // integers (picoseconds, bytes, ids) — no floats, so the bytes are
-// identical across shard counts, schedulers and parallelism.
+// identical across parallelism.
 func (rep *Report) WriteNDJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, `{"type":"meta","flows":%d,"episodes":%d,"total_parked_ps":%d}`+"\n",

@@ -12,12 +12,6 @@ import (
 // instruments and exporters, and exp's report tables; everything those
 // write eventually lands in an NDJSON row, a CSV cell or a benchjson
 // manifest that CI diffs byte-for-byte between runs.
-//
-// The rule composes with shardsafety through the fact store: an object
-// that shardsafety marked FactShardShared is cross-shard state, so a
-// tainted write into it is flagged too — even when the sharing itself
-// was deliberate and allowlisted, because "shared on purpose" does not
-// license "written in nondeterministic order".
 func checkDetWrite(c *Ctx) {
 	for _, f := range c.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -32,26 +26,15 @@ func checkDetWrite(c *Ctx) {
 
 func checkDetWriteFunc(c *Ctx, fd *ast.FuncDecl) {
 	// Find candidate sites first; the taint fixpoint only runs for
-	// functions that actually touch a sink or shard-shared state.
+	// functions that actually touch a sink.
 	var sinks []*ast.CallExpr
-	var shared []*ast.AssignStmt
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sinkFunc(c, n) != nil {
-				sinks = append(sinks, n)
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if _, _, ok := shardShared(c, lhs); ok {
-					shared = append(shared, n)
-					break
-				}
-			}
+		if call, ok := n.(*ast.CallExpr); ok && sinkFunc(c, call) != nil {
+			sinks = append(sinks, call)
 		}
 		return true
 	})
-	if len(sinks) == 0 && len(shared) == 0 {
+	if len(sinks) == 0 {
 		return
 	}
 	tt := taintFunc(c.Pkg, fd.Body)
@@ -64,9 +47,6 @@ func checkDetWriteFunc(c *Ctx, fd *ast.FuncDecl) {
 				break // one finding per call site is enough signal
 			}
 		}
-	}
-	for _, as := range shared {
-		checkSharedWrite(c, tt, as)
 	}
 }
 
@@ -90,29 +70,4 @@ func sinkFunc(c *Ctx, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// checkSharedWrite flags a tainted store into shard-shared state: both
-// a tainted stored value and a tainted element key make the shared
-// object's contents depend on per-run accidents.
-func checkSharedWrite(c *Ctx, tt *taintState, as *ast.AssignStmt) {
-	if len(as.Lhs) != len(as.Rhs) {
-		return
-	}
-	for i, lhs := range as.Lhs {
-		obj, sharedAt, ok := shardShared(c, lhs)
-		if !ok {
-			continue
-		}
-		r := tt.ExprTaint(as.Rhs[i])
-		if r == nil {
-			if idx, isIdx := ast.Unparen(lhs).(*ast.IndexExpr); isIdx {
-				r = tt.ExprTaint(idx.Index)
-			}
-		}
-		if r != nil {
-			c.Report(lhs.Pos(), "nondeterministic value (%s) written to %s, which is shared across shard Networks (shared at %s); cross-shard state must stay deterministic",
-				r.Why, obj.Name(), sharedAt)
-		}
-	}
 }

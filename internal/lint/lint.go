@@ -48,28 +48,19 @@ type Config struct {
 	RecoverAllowed []string
 	// GoAllowed lists the packages permitted to start goroutines: the
 	// deterministic layers are single-goroutine by contract, and only
-	// the exp executor (worker pool, shard barriers) may fan out.
+	// the exp executor's run-level worker pool may fan out.
 	GoAllowed []string
 
-	// ShardSafety scopes the cross-shard aliasing rule, Ordering the
-	// same-timestamp priority rule, DetWrite the nondeterministic-write
-	// taint rule.
-	ShardSafety []string
-	Ordering    []string
-	DetWrite    []string
-
-	// SharedImmutable lists named types ("import/path.Type") that are
-	// immutable after construction and therefore safe to alias across
-	// shard Networks — the shared-state audit from exp/parallel.go made
-	// machine-checkable. Pointer indirection is unwrapped before the
-	// match.
-	SharedImmutable []string
+	// Ordering scopes the same-timestamp priority rule, DetWrite the
+	// nondeterministic-write taint rule.
+	Ordering []string
+	DetWrite []string
 
 	// Canonical packages the rules key their type checks on.
 	UnitsPath   string // units.Time/ByteSize/BitRate live here
 	SimPath     string // sim.Engine (hot-path scheduling rule, Pri* ladder)
 	PacketPath  string // packet.NewData/NewCtrl (pool rule)
-	DevicePath  string // device.Network pool methods, shard Networks
+	DevicePath  string // device.Network pool methods
 	StatsPath   string // stats.Collector (detwrite sink)
 	MetricsPath string // metrics instruments and exporters (detwrite sink)
 	ExpPath     string // exp.Table (detwrite sink)
@@ -78,7 +69,7 @@ type Config struct {
 // DefaultConfig returns the production scoping for the given module.
 func DefaultConfig(module string) *Config {
 	return &Config{
-		ModulePath:  module,
+		ModulePath:   module,
 		Determinism:  []string{"..."},
 		MapRange:     []string{"..."},
 		HostMapRange: []string{"..."},
@@ -91,26 +82,15 @@ func DefaultConfig(module string) *Config {
 		Units:          []string{"..."},
 		RecoverAllowed: []string{module + "/internal/exp"},
 		GoAllowed:      []string{module + "/internal/exp"},
-		ShardSafety:    []string{"..."},
 		Ordering:       []string{"..."},
 		DetWrite:       []string{"..."},
-		SharedImmutable: []string{
-			// Immutable after Build()/construction by audited contract
-			// (see the shared-state audit in exp/parallel.go).
-			module + "/internal/topo.Topology",
-			module + "/internal/fault.Plan",
-			module + "/internal/workload.CDF",
-			// The app-plane dispatch table is sealed by app.Build before
-			// any shard runs; Planes only read it.
-			module + "/internal/app.Dispatch",
-		},
-		UnitsPath:   module + "/internal/units",
-		SimPath:     module + "/internal/sim",
-		PacketPath:  module + "/internal/packet",
-		DevicePath:  module + "/internal/device",
-		StatsPath:   module + "/internal/stats",
-		MetricsPath: module + "/internal/metrics",
-		ExpPath:     module + "/internal/exp",
+		UnitsPath:      module + "/internal/units",
+		SimPath:        module + "/internal/sim",
+		PacketPath:     module + "/internal/packet",
+		DevicePath:     module + "/internal/device",
+		StatsPath:      module + "/internal/stats",
+		MetricsPath:    module + "/internal/metrics",
+		ExpPath:        module + "/internal/exp",
 	}
 }
 
@@ -152,10 +132,8 @@ type Rule struct {
 	Check func(ctx *Ctx)
 }
 
-// Rules returns the registry in execution order. The order is part of
-// the contract: Run drives each rule over every package before the
-// next rule starts, so a rule may consume facts exported by the rules
-// before it (detwrite reads shardsafety's escape facts).
+// Rules returns the registry in execution order: Run drives each rule
+// over every package before the next rule starts.
 func Rules() []Rule {
 	return []Rule{
 		{"walltime", "no wall-clock reads (time.Now/Since/Until) in deterministic code",
@@ -182,8 +160,6 @@ func Rules() []Rule {
 			func(c *Config, p *Package) bool { return !inScope(c.RecoverAllowed, p.Path) }, checkRecover},
 		{"goroutine", "no go statements outside the experiment executor; deterministic layers are single-goroutine",
 			func(c *Config, p *Package) bool { return !inScope(c.GoAllowed, p.Path) }, checkGoroutine},
-		{"shardsafety", "no mutable value reachable from two shard Networks outside the Cluster coupling layer",
-			func(c *Config, p *Package) bool { return inScope(c.ShardSafety, p.Path) }, checkShardSafety},
 		{"ordering", "same-timestamp event priorities come from the sim.Pri* ladder, never from nondeterministic state",
 			func(c *Config, p *Package) bool { return inScope(c.Ordering, p.Path) }, checkOrdering},
 		{"detwrite", "no nondeterministic value (map order, wall clock, pointer identity, GOMAXPROCS) written to stats, metrics or tables",
@@ -203,9 +179,6 @@ type Ctx struct {
 	rule string
 	out  *runState
 }
-
-// Facts returns the run-wide fact store shared by all rules.
-func (c *Ctx) Facts() *Facts { return c.out.facts }
 
 // Report files a diagnostic at pos unless an allow entry suppresses it.
 func (c *Ctx) Report(pos token.Pos, format string, args ...any) {
@@ -290,7 +263,6 @@ func standalone(src []byte, pos token.Position) bool {
 type runState struct {
 	diags  []Diagnostic
 	allows allowIndex
-	facts  *Facts
 
 	// carriers memoizes the ordering rule's whole-program priority-
 	// carrier fixpoint (computed once per Run, over every package).
@@ -299,13 +271,12 @@ type runState struct {
 
 // Run executes every rule over the given packages and returns the
 // diagnostics sorted by position. Rules run in registry order, each
-// over every package, so later rules can consume facts exported by
-// earlier ones. Unused //lint:allow entries are reported under the
+// over every package. Unused //lint:allow entries are reported under the
 // pseudo-rule "allow"; allows living in build-tag-excluded files (e.g.
 // simdebug) are collected but exempt from staleness, since the code
 // they suppress is not part of the lint build.
 func Run(l *Loader, pkgs []*Package, cfg *Config) []Diagnostic {
-	st := &runState{facts: NewFacts()}
+	st := &runState{}
 	for _, pkg := range pkgs {
 		collectAllows(l.Fset, l.Source, pkg, &st.allows)
 	}

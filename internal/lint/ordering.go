@@ -13,8 +13,8 @@ import (
 // priority that is a raw literal, derives from map iteration order,
 // wall time, or pointer identity, the tie-break becomes either
 // meaningless (colliding raw numbers) or nondeterministic — and either
-// way the bit-identity guarantee between sharded and single-engine
-// runs dissolves.
+// way the guarantee that a run is a pure function of (config, seed)
+// dissolves.
 //
 // Two analyses compose here:
 //

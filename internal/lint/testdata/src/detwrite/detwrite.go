@@ -1,6 +1,6 @@
 // Package detwrite exercises the nondeterministic-write taint rule:
 // values tainted by map order, wall clock, runtime shape or pointer
-// identity must not reach stats, metrics or shard-shared state.
+// identity must not reach stats or metrics.
 package detwrite
 
 import (
@@ -12,27 +12,6 @@ import (
 	"floodgate/internal/stats"
 	"floodgate/internal/units"
 )
-
-// Seen is shared across every shard on purpose (allowlisted below);
-// the shardsafety fact it carries makes nondeterministic writes into
-// it findings even though the sharing itself is sanctioned.
-var Seen map[uint64]int
-
-// Install shares Seen across shards deliberately: the shardsafety
-// finding is allowlisted, but the rule still exports the fact.
-func Install(nets []*device.Network) {
-	for _, n := range nets {
-		n.OnFlowDone = func(*device.Flow, units.Time) {
-			Seen[0] = 1 //lint:allow shardsafety coordinator-only map, read at barrier windows
-		}
-	}
-}
-
-// CountGoroutines writes runtime shape into the shard-shared map —
-// flagged by composing detwrite's taint with shardsafety's fact.
-func CountGoroutines() {
-	Seen[0] = runtime.NumGoroutine()
-}
 
 // RecordSizes folds per-flow rows into the collector in map iteration
 // order — the order taints what each bin records.

@@ -1,7 +1,7 @@
 // Retry-policy jitter is the app-plane shape of the same rule: backoff
 // randomness decides when retries re-enter the fabric, so it must come
-// from the per-client sim.Rand stream — a math/rand draw would desync
-// shards and make the SLO tables flap run to run.
+// from the per-client sim.Rand stream — a math/rand draw would make
+// the SLO tables flap run to run.
 package mathrand
 
 import (

@@ -92,7 +92,8 @@ func NewEngine() *Engine { return NewEngineWith(SchedWheel) }
 // NewEngineWith returns an empty engine using the given scheduler.
 // Both schedulers execute events in the identical (time, seq) order,
 // so a run's output does not depend on the choice; SchedHeap exists as
-// the simple reference implementation for cross-checking.
+// the simple reference implementation that the scheduler-equivalence
+// test (TestCrossSchedulerIdenticalOrder) checks the wheel against.
 func NewEngineWith(s Scheduler) *Engine {
 	e := &Engine{sched: s}
 	if s == SchedWheel {
@@ -142,8 +143,7 @@ func (e *Engine) recycle(slot int32) {
 }
 
 // Event priorities order same-timestamp events across nodes so that the
-// execution order is a pure function of the configuration — never of
-// how the topology happens to be partitioned into shards. The priority
+// execution order is a pure function of the configuration. The priority
 // occupies the high bits of the entry's tie-break key; the per-engine
 // schedule sequence fills the low bits, so within one (time, priority)
 // class events still fire in FIFO schedule order.
@@ -157,9 +157,7 @@ func (e *Engine) recycle(slot int32) {
 //     priority PriWireBase + its global directed-port index, so two
 //     distinct links never share an armed (time, priority) pair.
 //   - PriTimer:    everything else (the default for At/After/AtArg/
-//     AfterArg). Same-time timer ties are always same-node, and a
-//     node's events keep their relative schedule order under any
-//     partition.
+//     AfterArg). Same-time timer ties fire in schedule order.
 const (
 	priBits = 20
 	seqBits = 44
@@ -348,14 +346,6 @@ func (e *Engine) nextAt() (units.Time, bool) {
 	ent, ok := e.peekEnt()
 	return ent.at, ok
 }
-
-// NextAt reports the timestamp of the earliest queued entry, or false
-// if the queue is empty. Dead (lazily cancelled) entries count: the
-// sharded executor uses NextAt to pick the next barrier window, and
-// including cancelled entries keeps the choice a function of the
-// schedule/cancel history alone — which is partition-invariant — while
-// only ever making the window conservatively early.
-func (e *Engine) NextAt() (units.Time, bool) { return e.nextAt() }
 
 // Run executes events in timestamp order until the queue empties, Stop
 // is called, or the next event would fire after `until`. The clock is

@@ -57,7 +57,7 @@ func TestWatchdogStaysQuietWithProgress(t *testing.T) {
 }
 
 // TestWatchdogTripsAfterProgressEnds proves the trip comes only once
-// progress ceases, between one and two horizons later.
+// progress ceases, one horizon later plus at most one sampling period.
 func TestWatchdogTripsAfterProgressEnds(t *testing.T) {
 	eng := NewEngine()
 	var progress int64
@@ -82,8 +82,9 @@ func TestWatchdogTripsAfterProgressEnds(t *testing.T) {
 	if !w.Tripped() {
 		t.Fatal("watchdog never tripped")
 	}
-	// Progress stops at t=90us; the trip must land in (190us, 290us].
-	if trippedAt <= units.Time(190*units.Microsecond) || trippedAt > units.Time(290*units.Microsecond) {
-		t.Fatalf("tripped at %v, want within (190us, 290us]", trippedAt)
+	// Progress stops at t=90us; the trip must land one horizon later,
+	// plus at most one sampling period: (190us, 215us].
+	if trippedAt <= units.Time(190*units.Microsecond) || trippedAt > units.Time(215*units.Microsecond) {
+		t.Fatalf("tripped at %v, want within (190us, 215us]", trippedAt)
 	}
 }

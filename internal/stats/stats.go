@@ -184,63 +184,6 @@ func (c *Collector) VOQInUse(n int) {
 	}
 }
 
-// Merge folds another collector into c. Every reduction the collector
-// feeds is order-independent — FCT samples are consumed as a multiset
-// (sums, sorts, percentiles), occupancy maxima merge by max, and the
-// time series merge per bin (max for buffer occupancy, sum for byte
-// counts) — so merging per-shard collectors in shard order yields the
-// same reductions as a single-collector sequential run. The sharded
-// executor relies on this to aggregate results.
-func (c *Collector) Merge(o *Collector) {
-	for i := Category(0); i < NumCategories; i++ {
-		c.fcts[i] = append(c.fcts[i], o.fcts[i]...)
-		c.rxSeries[i] = mergeBins(c.rxSeries[i], o.rxSeries[i], false)
-	}
-	for cl := topo.PortClass(0); cl < topo.NumPortClasses; cl++ {
-		if o.maxClassBuf[cl] > c.maxClassBuf[cl] {
-			c.maxClassBuf[cl] = o.maxClassBuf[cl]
-		}
-		c.bufSeries[cl] = mergeBins(c.bufSeries[cl], o.bufSeries[cl], true)
-		c.queueDelaySum[cl] += o.queueDelaySum[cl]
-		c.queueDelayCount[cl] += o.queueDelayCount[cl]
-	}
-	if o.maxNetSwitch > c.maxNetSwitch {
-		c.maxNetSwitch = o.maxNetSwitch
-	}
-	for l := range c.pfcPause {
-		c.pfcPause[l] += o.pfcPause[l]
-	}
-	c.pfcEvents += o.pfcEvents
-	for w := WireClass(0); w < NumWireClasses; w++ {
-		c.wireSeries[w] = mergeBins(c.wireSeries[w], o.wireSeries[w], false)
-		c.wireTotal[w] += o.wireTotal[w]
-	}
-	c.Drops += o.Drops
-	c.Trims += o.Trims
-	c.Retransmits += o.Retransmits
-	if o.MaxVOQInUse > c.MaxVOQInUse {
-		c.MaxVOQInUse = o.MaxVOQInUse
-	}
-}
-
-// mergeBins combines two binned series element-wise (max or sum),
-// extending dst as needed.
-func mergeBins(dst, src []units.ByteSize, byMax bool) []units.ByteSize {
-	if len(src) > len(dst) {
-		dst = grow(dst, len(src)-1)
-	}
-	for i, v := range src {
-		if byMax {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		} else {
-			dst[i] += v
-		}
-	}
-	return dst
-}
-
 // ---- Accessors / reductions ----
 
 // FCTs returns the samples of one category.

@@ -17,8 +17,8 @@ import (
 //
 // All values are integers (node ids, bytes, picoseconds, category
 // ordinal), so a file round-trips bit-exactly. Lines must be sorted by
-// non-decreasing start_ps — the same contract Cluster.AddFlow enforces
-// for generated workloads. Blank lines and lines starting with '#' are
+// non-decreasing start_ps — the same contract Network.RegisterFlow
+// enforces for generated workloads. Blank lines and lines starting with '#' are
 // skipped, so files can carry a header comment.
 
 // SpecSource streams flow specs one at a time; implementations must
