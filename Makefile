@@ -19,12 +19,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus floodlint, the in-tree analyzer suite
-# that enforces the determinism, pooling, units and event-ordering
-# invariants (see DESIGN.md §7). Writes floodlint.sarif
-# for CI annotation; exit is nonzero on any finding not grandfathered
-# in .floodlint.baseline.json.
+# Static analysis: go vet, gofmt, plus floodlint, the in-tree analyzer
+# suite that enforces the determinism, pooling, units and
+# event-ordering invariants (see DESIGN.md §7). Writes floodlint.sarif
+# for CI annotation; exit is nonzero on any unformatted Go file (the
+# deliberately broken lint fixtures under internal/lint/testdata/ and
+# dot-directories such as build caches excepted) and on any floodlint
+# finding not grandfathered in .floodlint.baseline.json.
 lint: vet
+	@unformatted=$$(find . -name '*.go' -not -path './.*' -not -path './internal/lint/testdata/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/floodlint -sarif floodlint.sarif ./...
 
 # Regenerate the lint baseline: the current findings become the

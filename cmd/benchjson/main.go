@@ -28,7 +28,9 @@
 // allocs/op must agree (the forensics hooks are contractually free
 // when disabled); and when it contains both halves of
 // BenchmarkRouteMemory, the structural router's route_bytes must stay
-// at least 100x below the dense baseline's.
+// at least 100x below the dense baseline's. One bound rides along too:
+// BenchmarkRunScaleIncast's heap_bytes/host must stay under
+// scaleHeapPerHostBound, so the next O(nodes) structure fails CI.
 package main
 
 import (
@@ -256,6 +258,30 @@ func routeMemoryPairRule(cur doc) string {
 	return ""
 }
 
+// scaleHeapPerHostBound caps BenchmarkRunScaleIncast's live heap per
+// host (heap_bytes/host, after a forced GC with the run's network still
+// referenced). With per-node state that follows traffic the
+// 102,400-host incast measures 1,147 bytes/host (2-vCPU Xeon, go1.24);
+// the bound adds a ~34% margin. A structure minted per node per port,
+// like the credit rows that put it at 5,358 bytes/host, fails it.
+const scaleHeapPerHostBound = 1536
+
+// scaleHeapRule fails when the 100k-host run's heap_bytes/host exceeds
+// scaleHeapPerHostBound. Returns "" when the rule passes or the metric
+// is absent from the run.
+func scaleHeapRule(cur doc) string {
+	for _, r := range cur.Benchmarks {
+		if r.Name != "BenchmarkRunScaleIncast" {
+			continue
+		}
+		if v, ok := r.Metrics["heap_bytes/host"]; ok && v > scaleHeapPerHostBound {
+			return fmt.Sprintf("BenchmarkRunScaleIncast: %.0f heap_bytes/host exceeds the %d bound; some per-node state no longer follows traffic",
+				v, scaleHeapPerHostBound)
+		}
+	}
+	return ""
+}
+
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	compare := flag.String("compare", "", "compare against this committed benchjson document; tolerance breaches exit non-zero")
@@ -315,6 +341,10 @@ func main() {
 		failed = true
 	}
 	if msg := routeMemoryPairRule(cur); msg != "" {
+		fmt.Fprintln(os.Stderr, "benchjson:", msg)
+		failed = true
+	}
+	if msg := scaleHeapRule(cur); msg != "" {
 		fmt.Fprintln(os.Stderr, "benchjson:", msg)
 		failed = true
 	}

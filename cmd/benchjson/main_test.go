@@ -146,3 +146,24 @@ func TestRouteMemoryPairRule(t *testing.T) {
 		t.Errorf("rule should not apply without both halves: %s", msg)
 	}
 }
+
+// TestScaleHeapRule pins the per-host heap bound on the 100k-host run:
+// the measured figure passes, the old credit-row figure fails, and a
+// run without the metric is not judged.
+func TestScaleHeapRule(t *testing.T) {
+	mk := func(perHost float64) doc {
+		return mkDoc(benchResult{Name: "BenchmarkRunScaleIncast", Metrics: map[string]float64{"heap_bytes/host": perHost}})
+	}
+	if msg := scaleHeapRule(mk(1147)); msg != "" {
+		t.Errorf("measured 1147 bytes/host should pass: %s", msg)
+	}
+	if msg := scaleHeapRule(mk(5358)); !strings.Contains(msg, "heap_bytes/host exceeds") {
+		t.Errorf("5358 bytes/host should fail the bound, got %q", msg)
+	}
+	if msg := scaleHeapRule(mkDoc(benchResult{Name: "BenchmarkRunScaleIncast", Metrics: map[string]float64{"events/s": 1e6}})); msg != "" {
+		t.Errorf("rule should not apply without heap_bytes/host: %s", msg)
+	}
+	if msg := scaleHeapRule(mkDoc(benchResult{Name: "BenchmarkRunIncast"})); msg != "" {
+		t.Errorf("rule should not apply without BenchmarkRunScaleIncast: %s", msg)
+	}
+}

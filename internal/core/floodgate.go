@@ -4,6 +4,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 
 	"floodgate/internal/device"
@@ -25,17 +26,19 @@ type Module struct {
 	// Upstream role: per-destination sending windows.
 	wins map[packet.NodeID]*dstWin
 
-	// Downstream role: credit generation per (ingress port, dst).
-	// Rows are minted lazily (host-facing ports never credit) and sized
-	// by node count so the per-packet lookup is two array indexes.
-	down      [][]*downChan     // per ingress port, indexed by dst NodeID
+	// Downstream role: credit generation per (ingress port, dst). Each
+	// switch-facing ingress port holds a channel only for the
+	// destinations it actually carries — the §7.4 rule that a switch's
+	// state follows its traffic, not the node count. Host-facing ports
+	// never credit, so their tables stay empty.
+	down      []chanTable
 	pending   [][]packet.NodeID // per ingress port: dsts with pending credits (insertion order)
 	timerArm  []bool            // per ingress port: credit timer scheduled
 	tickArgs  []tickArg         // per ingress port: pre-built AfterArg payloads
 	facesSw   []bool            // port peer is a switch
 	facesHost []bool
 
-	// VOQ pool.
+	// VOQ pool, built by the first allocVOQ (most switches never park).
 	voqs    []*voq
 	voqOf   map[packet.NodeID]*voq
 	free    []int // free voq indices per group: [0]=down, [1]=up (or all in [0])
@@ -154,7 +157,7 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 		cfg:         cfg,
 		sw:          sw,
 		wins:        make(map[packet.NodeID]*dstWin),
-		down:        make([][]*downChan, len(node.Ports)),
+		down:        make([]chanTable, len(node.Ports)),
 		pending:     make([][]packet.NodeID, len(node.Ports)),
 		timerArm:    make([]bool, len(node.Ports)),
 		tickArgs:    make([]tickArg, len(node.Ports)),
@@ -180,33 +183,49 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 	// VOQ grouping applies to middle-layer switches only (3-tier aggs),
 	// which forward both upstream and windowed downstream traffic.
 	m.grouped = cfg.VOQGrouping && node.Layer == topo.LayerAgg
-	n := cfg.MaxVOQs
-	if n <= 0 {
-		n = 1
-	}
-	// One backing array for all VOQ structs; the perDst maps are minted
-	// lazily on first park (most VOQs on most switches stay idle).
-	vs := make([]voq, n)
-	m.voqs = make([]*voq, n)
-	for i := range m.voqs {
-		vs[i].idx = i
-		m.voqs[i] = &vs[i]
-	}
-	if m.grouped {
-		for i := 0; i < n/2; i++ {
-			m.voqs[i].group = 0
-			m.free = append(m.free, i)
-		}
-		for i := n / 2; i < n; i++ {
-			m.voqs[i].group = 1
-			m.freeUp = append(m.freeUp, i)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			m.free = append(m.free, i)
-		}
+	if m.grouped && m.poolSize() < 2 {
+		// Each direction needs a VOQ of its own: sharing one across
+		// groups re-creates the Fig 4 hold-and-wait cycle grouping
+		// exists to break.
+		panic(fmt.Sprintf("core: VOQ grouping on %s needs MaxVOQs >= 2 (one per direction), got %d",
+			node.Name, cfg.MaxVOQs))
 	}
 	return m
+}
+
+// poolSize is the VOQ pool size MaxVOQs asks for (at least one).
+func (m *Module) poolSize() int { return max(m.cfg.MaxVOQs, 1) }
+
+// buildVOQs mints the VOQ pool: one backing array for all VOQ structs,
+// the lower half downstream (group 0) and the upper half upstream
+// (group 1) when grouped. The perDst maps are minted lazily on first
+// park (most VOQs on most switches stay idle).
+func (m *Module) buildVOQs() {
+	n := m.poolSize()
+	vs := make([]voq, n)
+	m.voqs = make([]*voq, n)
+	for i := range vs {
+		vs[i].idx = i
+		if m.grouped && i >= n/2 {
+			vs[i].group = 1
+		}
+		m.voqs[i] = &vs[i]
+	}
+	m.resetFree()
+}
+
+// resetFree marks every VOQ free, in ascending index order per group:
+// allocation pops from the end, so it hands out the highest free index
+// first and reuses freed indices before untouched ones.
+func (m *Module) resetFree() {
+	m.free, m.freeUp = m.free[:0], m.freeUp[:0]
+	for _, v := range m.voqs {
+		if v.group == 1 {
+			m.freeUp = append(m.freeUp, v.idx)
+		} else {
+			m.free = append(m.free, v.idx)
+		}
+	}
 }
 
 // Window returns the remaining window for a destination (tests).
@@ -323,6 +342,9 @@ func (w *dstWin) port(i int) *upPort {
 // an empty one from the right group if available, else a CRC-32 hash
 // over the allocated VOQs (§4.2).
 func (m *Module) allocVOQ(dst packet.NodeID) *voq {
+	if m.voqs == nil {
+		m.buildVOQs()
+	}
 	group := 0
 	if m.grouped && !m.sw.Net().Topo.SamePod(m.sw.Node().ID, dst) {
 		group = 1
@@ -353,27 +375,15 @@ func (m *Module) allocVOQ(dst packet.NodeID) *voq {
 }
 
 // hashVOQ picks an allocated VOQ in the group via CRC-32 of the dst.
+// It runs only once the group's free list is empty, so every VOQ of the
+// group is allocated and the candidate list is never empty (newModule
+// guarantees each group at least one VOQ).
 func (m *Module) hashVOQ(dst packet.NodeID, group int) *voq {
 	var candidates []*voq
 	for _, v := range m.voqs {
 		if len(v.dsts) > 0 && (!m.grouped || v.group == group) {
 			candidates = append(candidates, v)
 		}
-	}
-	if len(candidates) == 0 {
-		// Degenerate pool (MaxVOQs too small for the group): fall back
-		// to any allocated VOQ, then to index 0.
-		for _, v := range m.voqs {
-			if len(v.dsts) > 0 {
-				candidates = append(candidates, v)
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		m.inUse++
-		m.mVOQsInUse.Add(1)
-		m.sw.Net().Stats.VOQInUse(m.inUse)
-		return m.voqs[0]
 	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(dst))
@@ -491,16 +501,14 @@ func (m *Module) OnDequeue(p *packet.Packet, outPort, queue int) {
 	m.armTimer(in)
 }
 
+// chanFor returns the credit channel for (ingress port, dst), minting
+// it on first use.
 func (m *Module) chanFor(in int, dst packet.NodeID) *downChan {
-	row := m.down[in]
-	if row == nil {
-		row = make([]*downChan, len(m.sw.Net().Switches))
-		m.down[in] = row
-	}
-	ch := row[dst]
+	t := &m.down[in]
+	ch := t.get(dst)
 	if ch == nil {
 		ch = &downChan{}
-		row[dst] = ch
+		t.put(dst, ch)
 	}
 	return ch
 }
@@ -526,12 +534,9 @@ func (m *Module) creditTick(in int) {
 	// passes the read index, and keeping the capacity means steady-state
 	// ticks allocate nothing.
 	retained := dsts[:0]
-	row := m.down[in]
+	chans := &m.down[in]
 	for _, d := range dsts {
-		var ch *downChan
-		if row != nil {
-			ch = row[d]
-		}
+		ch := chans.get(d)
 		if ch == nil || ch.pending == 0 {
 			continue
 		}
@@ -858,21 +863,7 @@ func (m *Module) Restart() {
 		m.sw.Net().Stats.VOQInUse(0)
 	}
 	m.inUse = 0
-	m.free = m.free[:0]
-	m.freeUp = m.freeUp[:0]
-	if m.grouped {
-		half := len(m.voqs) / 2
-		for i := 0; i < half; i++ {
-			m.free = append(m.free, i)
-		}
-		for i := half; i < len(m.voqs); i++ {
-			m.freeUp = append(m.freeUp, i)
-		}
-	} else {
-		for i := range m.voqs {
-			m.free = append(m.free, i)
-		}
-	}
+	m.resetFree()
 	clear(m.voqOf)
 
 	// Windows: cancel loss-recovery timers and drop the table.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"floodgate/internal/core"
@@ -316,6 +317,28 @@ func TestFatTreeBidirectionalIncastNoDeadlock(t *testing.T) {
 			t.Fatalf("flow %d deadlocked (delivered at most %v of %v)", i, f.Size, f.Size)
 		}
 	}
+}
+
+func TestGroupedPoolBelowTwoPanics(t *testing.T) {
+	// A grouped agg needs one VOQ per direction: with MaxVOQs = 1 group
+	// 0 would get none, and sharing group 1's VOQ across directions
+	// re-creates the Fig 4 cycle (the bidirectional incast above then
+	// strands every flow). Construction must refuse the configuration.
+	fg := core.DefaultConfig(14 * units.KB)
+	fg.MaxVOQs = 1
+	fg.VOQGrouping = true
+	tp := topo.FatTreeConfig{K: 4, HostsPerEdge: 2, Rate: 10 * units.Gbps, Prop: 600 * units.Nanosecond}.Build()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "MaxVOQs >= 2") {
+			t.Fatalf("recovered %v, want a panic naming MaxVOQs >= 2", r)
+		}
+	}()
+	device.New(device.Config{
+		Topo: tp, Engine: sim.NewEngine(),
+		Stats: stats.NewCollector(10 * units.Microsecond),
+		FC:    core.New(fg),
+	})
 }
 
 func TestSwitchSYNResyncsAfterTotalCreditLoss(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"floodgate/internal/cc"
 	"floodgate/internal/cc/dcqcn"
 	"floodgate/internal/cc/hpcc"
+	"floodgate/internal/metrics"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/stats"
@@ -339,6 +340,55 @@ func TestHostPerDstPause(t *testing.T) {
 	n.Run(units.Time(10 * units.Millisecond))
 	if !f.Done() {
 		t.Fatal("flow did not complete after resume")
+	}
+}
+
+// TestHostNilPauseMaps drives every pause path on hosts whose pause
+// maps were never created (they start nil and are minted on the first
+// DstPause/BFCPause), and checks the paused-entry gauges return to 0.
+func TestHostNilPauseMaps(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Metrics = NewNetMetrics(metrics.NewRegistry())
+	n := New(cfg)
+	hosts := cfg.Topo.Hosts
+	h := n.HostsByID[hosts[0]]
+	if h.pausedDst != nil || h.pausedFlows != nil {
+		t.Fatal("pause maps exist before any pause")
+	}
+	ctrl := func(kind packet.Kind, flow packet.FlowID) {
+		p := n.NewCtrl(kind, flow, hosts[2], hosts[0])
+		p.PauseDst = hosts[5]
+		h.receive(p)
+	}
+	gauges := func(step string, dsts, flows int64) {
+		t.Helper()
+		if d, f := n.Metrics.HostPausedDsts.Value(), n.Metrics.HostPausedFlows.Value(); d != dsts || f != flows {
+			t.Fatalf("%s: paused dsts/flows gauges = %d/%d, want %d/%d", step, d, f, dsts, flows)
+		}
+	}
+	// Resumes and a peer reset on nil maps are no-ops.
+	ctrl(packet.DstResume, 0)
+	ctrl(packet.BFCResume, 7)
+	h.onPeerReset()
+	gauges("resume before pause", 0, 0)
+	if h.pausedDst != nil || h.pausedFlows != nil {
+		t.Fatal("a resume or peer reset created a pause map")
+	}
+
+	ctrl(packet.DstPause, 0)
+	ctrl(packet.DstPause, 0)
+	ctrl(packet.BFCPause, 7)
+	gauges("paused", 1, 1)
+	ctrl(packet.DstResume, 0)
+	ctrl(packet.BFCResume, 7)
+	gauges("resumed", 0, 0)
+
+	ctrl(packet.DstPause, 0)
+	ctrl(packet.BFCPause, 7)
+	h.onPeerReset()
+	gauges("peer reset", 0, 0)
+	if len(h.pausedDst) != 0 || len(h.pausedFlows) != 0 {
+		t.Fatalf("peer reset left %d dst / %d flow pauses", len(h.pausedDst), len(h.pausedFlows))
 	}
 }
 

@@ -126,8 +126,10 @@ type Host struct {
 	pfcStart  units.Time
 	pfcCum    units.Duration // closed PFC pause time (forensics overlap basis)
 
+	// Per-dst and BFC per-flow (NIC-queue) pauses, nil until the first
+	// DstPause/BFCPause: most hosts are never paused.
 	pausedDst   map[packet.NodeID]bool
-	pausedFlows map[packet.FlowID]bool // BFC per-flow (NIC-queue) pause
+	pausedFlows map[packet.FlowID]bool
 
 	// NDP pull pacing.
 	pullQ    []packet.FlowID
@@ -168,11 +170,9 @@ func newHost(n *Network, node *topo.Node) *Host {
 		panic("device: hosts must have exactly one port")
 	}
 	h := &Host{
-		net:         n,
-		node:        node,
-		port:        &node.Ports[0],
-		pausedDst:   make(map[packet.NodeID]bool),
-		pausedFlows: make(map[packet.FlowID]bool),
+		net:  n,
+		node: node,
+		port: &node.Ports[0],
 	}
 	h.wire.init(n, h.port.Peer, h.port.PeerPort, n.wirePri(node.ID, 0))
 	return h
@@ -274,6 +274,9 @@ func (h *Host) receive(p *packet.Packet) {
 		}
 	case packet.DstPause:
 		if !h.pausedDst[p.PauseDst] {
+			if h.pausedDst == nil {
+				h.pausedDst = make(map[packet.NodeID]bool)
+			}
 			h.pausedDst[p.PauseDst] = true
 			h.net.Metrics.HostPausedDsts.Add(1)
 		}
@@ -285,6 +288,9 @@ func (h *Host) receive(p *packet.Packet) {
 		h.wakeDst(p.PauseDst)
 	case packet.BFCPause:
 		if !h.pausedFlows[p.Flow] {
+			if h.pausedFlows == nil {
+				h.pausedFlows = make(map[packet.FlowID]bool)
+			}
 			h.pausedFlows[p.Flow] = true
 			h.net.Metrics.HostPausedFlows.Add(1)
 		}

@@ -207,6 +207,7 @@ func New(cfg Config) *Network {
 		Metrics:   cfg.Metrics,
 		Switches:  make([]*Switch, len(cfg.Topo.Nodes)),
 		HostsByID: make([]*Host, len(cfg.Topo.Nodes)),
+		Hosts:     make([]*Host, 0, cfg.Topo.NumHosts()),
 		flows:     []*Flow{nil}, // FlowID 0 is unused
 		frx:       cfg.Forensics,
 	}

@@ -91,10 +91,14 @@ func newSwitch(n *Network, node *topo.Node) *Switch {
 		pauseCum:       make([]units.Duration, len(node.Ports)),
 		portBytes:      make([]units.ByteSize, len(node.Ports)),
 	}
+	// Every port's data queues are carved from one slab; cap = len keeps
+	// the slices from ever growing into a neighbour's queues.
+	nq := n.Cfg.QueuesPerPort
+	slab := make([]fifo, len(node.Ports)*nq)
 	for i := range sw.out {
 		o := &sw.out[i]
 		o.tp = &node.Ports[i]
-		o.data = make([]fifo, n.Cfg.QueuesPerPort)
+		o.data = slab[i*nq : (i+1)*nq : (i+1)*nq]
 		o.sw = sw
 		o.wire.init(n, o.tp.Peer, o.tp.PeerPort, n.wirePri(node.ID, i))
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
 
 	"floodgate/internal/app"
@@ -176,12 +177,14 @@ func BenchmarkRouteMemory(b *testing.B) {
 // BenchmarkRunScaleIncast executes the scaleincast run end to end on
 // the 102,400-host Clos — build, route, 256-way burst, drain — in
 // one process per iteration. Beside events/s it records the live
-// heap after an explicit snapshot, the memory-budget figure the
-// scale work is accountable to across PRs.
+// heap (forced GC, then an explicit snapshot, outside the timer with
+// the run's network still referenced) in total and per host: the
+// memory-budget figures the scale work is accountable to across PRs.
+// benchjson fails the run when heap_bytes/host exceeds its bound.
 func BenchmarkRunScaleIncast(b *testing.B) {
 	o := Options{Scale: 0.25, Seed: 1, Topo: "clos100k"}.norm()
 	b.ReportAllocs()
-	var simSec, events, heap float64
+	var simSec, events, heap, hosts float64
 	for i := 0; i < b.N; i++ {
 		tp, _, err := o.scaleTopo("clos100k")
 		if err != nil {
@@ -199,12 +202,17 @@ func BenchmarkRunScaleIncast(b *testing.B) {
 		}
 		simSec += res.Net.Eng.Now().Seconds()
 		events += float64(res.Net.Eng.Processed)
+		b.StopTimer()
+		runtime.GC()
 		heap = float64(res.Net.SnapshotMemStats())
+		hosts = float64(tp.NumHosts())
+		b.StartTimer()
 	}
 	wall := b.Elapsed().Seconds()
 	b.ReportMetric(simSec/wall, "simsec/wallsec")
 	b.ReportMetric(events/wall, "events/s")
 	b.ReportMetric(heap, "heap_bytes/run")
+	b.ReportMetric(heap/hosts, "heap_bytes/host")
 }
 
 // BenchmarkRunClosedLoop executes one sloincast cell end to end: the

@@ -52,15 +52,19 @@ func TestScaleIncastSmoke(t *testing.T) {
 
 // TestScaleIncastCompletes is the acceptance run: the 102,400-host
 // Clos builds, routes and completes the canonical incast in one
-// process, inside the stated memory budget (2 GB live heap, covering
-// both schemes' networks concurrently) with route memory that would
-// be impossible dense.
+// process, with route memory that would be impossible dense, inside
+// a 256 MiB live-heap budget read after a forced GC while both
+// schemes' networks (and their shared topology) are still referenced.
+// That heap measures 199.6 MB (go1.24, linux/amd64); the budget is
+// that plus a ~34% margin. Per-node state minted regardless of
+// traffic breaks it: credit rows sized by node count on every
+// switch-facing port put the same heap at 641 MB.
 func TestScaleIncastCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-host simulation")
 	}
 	o := Options{Scale: 0.25, Seed: 1, Topo: "clos100k"}
-	tables := ScaleIncast(o)
+	tables, runs := scaleIncast(o)
 	mem := tables[0].String()
 	for _, want := range []string{"102400", "structural"} {
 		if !strings.Contains(mem, want) {
@@ -74,7 +78,9 @@ func TestScaleIncastCompletes(t *testing.T) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	const budget = 2 << 30
+	runtime.KeepAlive(runs)
+	const budget = 256 << 20
+	t.Logf("live heap %d bytes", ms.HeapAlloc)
 	if ms.HeapAlloc > budget {
 		t.Fatalf("live heap %d bytes exceeds the %d-byte scaleincast budget", ms.HeapAlloc, uint64(budget))
 	}

@@ -124,6 +124,14 @@ func scaleIncastSpecs(tp *topo.Topology, seed uint64, degree int) []workload.Flo
 // and benchmarks instead, keeping this table byte-identical across
 // parallelism.
 func ScaleIncast(o Options) []Table {
+	tables, _ := scaleIncast(o)
+	return tables
+}
+
+// scaleIncast is ScaleIncast that also returns the two runs, so the
+// acceptance test can read the live heap while both schemes' networks
+// are still referenced.
+func scaleIncast(o Options) ([]Table, []*RunResult) {
 	o = o.norm()
 	tp, preset, err := o.scaleTopo("clos100k")
 	if err != nil {
@@ -180,7 +188,7 @@ func ScaleIncast(o Options) []Table {
 			fmt.Sprintf("%v", avg), fmt.Sprintf("%v", p99),
 			fmt.Sprintf("%d", res.Stats.Drops), fmt.Sprintf("%d", res.Stats.PFCEventCount()))
 	}
-	return []Table{mem, run}
+	return []Table{mem, run}, runs
 }
 
 func max64(a, b int64) int64 {

@@ -46,7 +46,7 @@ func (c LeafSpineConfig) Build() *Topology {
 	if c.Oversubscription > 1 {
 		up /= units.BitRate(c.Oversubscription)
 	}
-	b := &builder{}
+	b := newBuilder(c.Spines+c.ToRs*(1+c.HostsPerToR), c.ToRs*(c.Spines+c.HostsPerToR))
 	spines := make([]packet.NodeID, 0, c.Spines)
 	for s := 0; s < c.Spines; s++ {
 		spines = append(spines, b.addNode(SwitchNode, LayerCore, -1, -1, fmt.Sprintf("spine%d", s)))
@@ -106,7 +106,7 @@ func (c FatTreeConfig) Build() *Topology {
 	if hpe == 0 {
 		hpe = half
 	}
-	b := &builder{}
+	b := newBuilder(half*half+c.K*(2*half+half*hpe), c.K*half*(2*half+hpe))
 	cores := make([]packet.NodeID, half*half)
 	for i := range cores {
 		cores[i] = b.addNode(SwitchNode, LayerCore, -1, -1, fmt.Sprintf("core%d", i))
@@ -191,7 +191,8 @@ func (c ClosConfig) Build() *Topology {
 	if c.Pods <= 0 || c.AggsPerPod <= 0 || c.SpinesPerPlane <= 0 || c.ToRsPerPod <= 0 || c.HostsPerToR <= 0 {
 		panic("topo: clos dimensions must be positive")
 	}
-	b := &builder{}
+	b := newBuilder(c.AggsPerPod*c.SpinesPerPlane+c.Pods*(c.AggsPerPod+c.ToRsPerPod*(1+c.HostsPerToR)),
+		c.Pods*(c.AggsPerPod*c.SpinesPerPlane+c.ToRsPerPod*(c.AggsPerPod+c.HostsPerToR)))
 	spines := make([]packet.NodeID, c.AggsPerPod*c.SpinesPerPlane)
 	for a := 0; a < c.AggsPerPod; a++ {
 		for j := 0; j < c.SpinesPerPlane; j++ {
@@ -250,7 +251,8 @@ func DefaultTestbed() TestbedConfig {
 // freezes with the dense BFS router — the reference implementation
 // irregular and faulted-asymmetric validation fabrics fall back to.
 func (c TestbedConfig) Build() *Topology {
-	b := &builder{forceDense: true}
+	b := newBuilder(1+c.ToRs*(1+c.HostsPerToR), c.ToRs*(1+c.HostsPerToR))
+	b.forceDense = true
 	core := b.addNode(SwitchNode, LayerCore, -1, -1, "core")
 	for r := 0; r < c.ToRs; r++ {
 		tor := b.addNode(SwitchNode, LayerToR, r, r, fmt.Sprintf("tor%d", r))

@@ -219,30 +219,71 @@ func (t *Topology) SamePod(n, dst packet.NodeID) bool {
 }
 
 // builder assembles nodes and links then freezes them into a Topology.
+// Nodes live in one arena and ports are laid out in one slab at
+// freeze, so a 100k-host fabric costs a handful of allocations rather
+// than one per node and several per port.
 type builder struct {
-	nodes []*Node
+	nodes []Node
+	links []link
+	deg   []int // per node: ports so far (connect order = port order)
 	// forceDense skips structural inference at freeze(): set by
 	// builders that model irregular fabrics (the DPDK testbed) where
 	// the dense BFS tables are the validation reference.
 	forceDense bool
 }
 
+// link is one full-duplex connect call, replayed into ports at freeze.
+type link struct {
+	a, b           packet.NodeID
+	rate           units.BitRate
+	prop           units.Duration
+	aClass, bClass PortClass
+}
+
+// newBuilder pre-sizes the arenas for a fabric of the given node and
+// link counts (a hint: exceeding it only costs a regrowth).
+func newBuilder(nodes, links int) *builder {
+	return &builder{
+		nodes: make([]Node, 0, nodes),
+		links: make([]link, 0, links),
+		deg:   make([]int, 0, nodes),
+	}
+}
+
 func (b *builder) addNode(kind NodeKind, layer Layer, pod, rack int, name string) packet.NodeID {
 	id := packet.NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, &Node{ID: id, Kind: kind, Layer: layer, Pod: pod, Rack: rack, Name: name})
+	b.nodes = append(b.nodes, Node{ID: id, Kind: kind, Layer: layer, Pod: pod, Rack: rack, Name: name})
+	b.deg = append(b.deg, 0)
 	return id
 }
 
 // connect adds a full-duplex link between a and b as two directed
 // ports with the given rate, propagation delay and per-direction class.
+// Each endpoint's port index is its degree so far.
 func (b *builder) connect(a, bb packet.NodeID, rate units.BitRate, prop units.Duration, aClass, bClass PortClass) {
-	na, nb := b.nodes[a], b.nodes[bb]
-	pa := Port{Owner: a, Index: len(na.Ports), Peer: bb, Rate: rate, Prop: prop, Class: aClass}
-	pb := Port{Owner: bb, Index: len(nb.Ports), Peer: a, Rate: rate, Prop: prop, Class: bClass}
-	pa.PeerPort = pb.Index
-	pb.PeerPort = pa.Index
-	na.Ports = append(na.Ports, pa)
-	nb.Ports = append(nb.Ports, pb)
+	b.links = append(b.links, link{a: a, b: bb, rate: rate, prop: prop, aClass: aClass, bClass: bClass})
+	b.deg[a]++
+	b.deg[bb]++
+}
+
+// layoutPorts lays every node's ports out in one slab, in connect
+// order. Each node's slice is cut with cap == len so an append on one
+// node can never overwrite the next node's ports.
+func (b *builder) layoutPorts() {
+	ports := make([]Port, 2*len(b.links))
+	off := 0
+	for i := range b.nodes {
+		d := b.deg[i]
+		b.nodes[i].Ports = ports[off : off : off+d]
+		off += d
+	}
+	for _, l := range b.links {
+		na, nb := &b.nodes[l.a], &b.nodes[l.b]
+		pa := Port{Owner: l.a, Index: len(na.Ports), Peer: l.b, PeerPort: len(nb.Ports), Rate: l.rate, Prop: l.prop, Class: l.aClass}
+		pb := Port{Owner: l.b, Index: len(nb.Ports), Peer: l.a, PeerPort: len(na.Ports), Rate: l.rate, Prop: l.prop, Class: l.bClass}
+		na.Ports = append(na.Ports, pa)
+		nb.Ports = append(nb.Ports, pb)
+	}
 }
 
 // freeze indexes the hosts, chooses the router and returns the
@@ -252,12 +293,19 @@ func (b *builder) connect(a, bb packet.NodeID, rate units.BitRate, prop units.Du
 // the dense BFS fallback keeps irregular fabrics routable at the old
 // O(nodes × hosts) cost.
 func (b *builder) freeze() *Topology {
-	t := &Topology{Nodes: b.nodes}
+	b.layoutPorts()
+	t := &Topology{Nodes: make([]*Node, len(b.nodes))}
 	t.hostIdx = make([]int, len(b.nodes))
-	for i := range t.hostIdx {
+	hosts := 0
+	for i := range b.nodes {
+		t.Nodes[i] = &b.nodes[i]
 		t.hostIdx[i] = -1
+		if b.nodes[i].Kind == HostNode {
+			hosts++
+		}
 	}
-	for _, n := range b.nodes {
+	t.Hosts = make([]packet.NodeID, 0, hosts)
+	for _, n := range t.Nodes {
 		if n.Kind == HostNode {
 			t.hostIdx[n.ID] = len(t.Hosts)
 			t.Hosts = append(t.Hosts, n.ID)

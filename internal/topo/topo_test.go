@@ -37,23 +37,38 @@ func TestLeafSpineShape(t *testing.T) {
 	}
 }
 
+// TestPortSymmetry pins the port layout every builder freezes: node
+// IDs are positions, each port's Index is its position, the reverse
+// port points back, and every node's port slice is cut from the shared
+// slab with cap == len, so an append on one node cannot overwrite the
+// next node's ports.
 func TestPortSymmetry(t *testing.T) {
-	for _, tp := range []*Topology{
-		DefaultLeafSpine().Build(),
-		DefaultFatTree().Build(),
-		DefaultTestbed().Build(),
+	for _, tc := range []struct {
+		name string
+		tp   *Topology
+	}{
+		{"leafspine", DefaultLeafSpine().Build()},
+		{"fattree", DefaultFatTree().Build()},
+		{"clos", DefaultClos().Build()},
+		{"testbed", DefaultTestbed().Build()},
 	} {
-		for _, n := range tp.Nodes {
+		for id, n := range tc.tp.Nodes {
+			if int(n.ID) != id {
+				t.Fatalf("%s: node %d has ID %d", tc.name, id, n.ID)
+			}
+			if cap(n.Ports) != len(n.Ports) {
+				t.Fatalf("%s: %s has %d ports but capacity %d", tc.name, n.Name, len(n.Ports), cap(n.Ports))
+			}
 			for i, p := range n.Ports {
 				if p.Owner != n.ID || p.Index != i {
-					t.Fatalf("%s port %d: bad owner/index", n.Name, i)
+					t.Fatalf("%s: %s port %d: bad owner/index", tc.name, n.Name, i)
 				}
-				back := tp.Node(p.Peer).Ports[p.PeerPort]
+				back := tc.tp.Node(p.Peer).Ports[p.PeerPort]
 				if back.Peer != n.ID || back.PeerPort != i {
-					t.Fatalf("%s port %d: asymmetric reverse port", n.Name, i)
+					t.Fatalf("%s: %s port %d: asymmetric reverse port", tc.name, n.Name, i)
 				}
 				if back.Rate != p.Rate || back.Prop != p.Prop {
-					t.Fatalf("%s port %d: rate/prop asymmetry", n.Name, i)
+					t.Fatalf("%s: %s port %d: rate/prop asymmetry", tc.name, n.Name, i)
 				}
 			}
 		}
