@@ -47,7 +47,7 @@ func TestFig7NoSim(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/smoke_tables.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files of the tests that run")
 
 const smokeGolden = "testdata/smoke_tables.golden"
 
