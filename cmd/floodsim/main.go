@@ -121,8 +121,9 @@ func main() {
 		}
 		return
 	}
+	o := withObs(floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, App: *appOn, Topo: *topoName},
+		*obsDir, *sample, *forensics)
 	if *flowsFrom != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par}
 		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 		tables, err := floodgate.RunFlowFile(*flowsFrom, o)
 		if err != nil {
@@ -138,7 +139,6 @@ func main() {
 	}
 
 	if *faults != "" {
-		o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, App: *appOn}
 		start := time.Now() //lint:allow walltime progress reporting times the real run, not the simulation
 		tables, err := floodgate.RunFaultScenario(*faults, o)
 		if err != nil {
@@ -165,11 +165,6 @@ func main() {
 		return
 	}
 
-	o := floodgate.Options{Scale: *scale, Seed: *seed, Parallelism: *par, App: *appOn, Topo: *topoName}
-	if *obsDir != "" {
-		o.Obs = floodgate.ObsConfig{Dir: *obsDir, Period: floodgate.FromNanos(sample.Nanoseconds())}
-	}
-	o.Obs.Forensics = *forensics
 	print := func(id string, tables []floodgate.Table, elapsed time.Duration) {
 		for _, t := range tables {
 			fmt.Println(t.String())
@@ -211,6 +206,16 @@ func main() {
 		os.Exit(1)
 	}
 	print(*expID, tables, time.Since(start)) //lint:allow walltime progress reporting times the real run, not the simulation
+}
+
+// withObs adds the -obs, -sample and -forensics flags to o. The -exp,
+// -faults and -flows-from paths all run with the result.
+func withObs(o floodgate.Options, obsDir string, sample time.Duration, forensics bool) floodgate.Options {
+	if obsDir != "" {
+		o.Obs = floodgate.ObsConfig{Dir: obsDir, Period: floodgate.FromNanos(sample.Nanoseconds())}
+	}
+	o.Obs.Forensics = forensics
+	return o
 }
 
 // validateForensics rejects -forensics without an -obs directory: the

@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"floodgate"
 )
 
 // TestValidateForensics pins the flag-pairing contract: -forensics is
@@ -39,5 +42,22 @@ func TestValidateForensics(t *testing.T) {
 				t.Errorf("error = %q, want it to suggest the fix (-obs out/)", err)
 			}
 		})
+	}
+}
+
+// TestWithObs pins that the observability, sampling and forensics
+// flags reach the Options every run path uses (-exp, -faults and
+// -flows-from all share it) without disturbing the run's shape.
+func TestWithObs(t *testing.T) {
+	base := floodgate.Options{Scale: 0.1, Seed: 7, Parallelism: 2, App: true, Topo: "clos"}
+	o := withObs(base, "out", 20*time.Microsecond, true)
+	if o.Scale != 0.1 || o.Seed != 7 || o.Parallelism != 2 || !o.App || o.Topo != "clos" {
+		t.Errorf("run shape lost: %+v", o)
+	}
+	if o.Obs.Dir != "out" || o.Obs.Period != floodgate.FromNanos(20000) || !o.Obs.Forensics {
+		t.Errorf("obs flags lost: %+v", o.Obs)
+	}
+	if off := withObs(base, "", 0, false); off.Obs.Enabled() || off.Obs.Forensics {
+		t.Errorf("obs on without -obs: %+v", off.Obs)
 	}
 }

@@ -390,8 +390,6 @@ const (
 	TraceDeliver = trace.OpDeliver
 	TraceDrop    = trace.OpDrop
 	TraceCredit  = trace.OpCredit
-	TracePause   = trace.OpPause
-	TraceResume  = trace.OpResume
 	TraceRetx    = trace.OpRetx
 	TraceRTO     = trace.OpRTO
 )

@@ -6,7 +6,6 @@ import (
 	"floodgate/internal/device"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -128,19 +127,18 @@ func planeArriveFn(a any) {
 }
 
 func (p *Plane) arrive(rs *reqState, now units.Time) {
-	p.net.Metrics.AppRequests.Inc()
+	p.net.Probe().AppArrive()
 	rs.start = now
 	cs := p.clients[rs.ci]
 	if cs.breaker.open(now) {
 		rs.resolved, rs.shed = true, true
 		rs.end = now
-		p.net.Metrics.AppShed.Inc()
-		p.net.TraceFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+		p.net.Probe().AppShed(cs.node, p.d.attempts[rs.idx][0][0])
 		p.resolved()
 		return
 	}
 	p.pendingReqs++
-	p.launch(rs, trace.OpAppReq)
+	p.launch(rs, device.AppReq)
 	if h, ok := p.d.Cfg.Policy.(Hedger); ok && p.d.Cfg.MaxAttempts > 1 {
 		delay := h.HedgeDelay(p.d.Cfg.Deadline, cs.lat.p95(), cs.lat.n)
 		p.retryTimers++
@@ -154,15 +152,16 @@ func (p *Plane) arrive(rs *reqState, now units.Time) {
 // per request (none during backoff), because a new attempt launches
 // only from arrival or from a retry timer armed by the previous
 // deadline's expiry.
-func (p *Plane) launch(rs *reqState, op trace.Op) {
+func (p *Plane) launch(rs *reqState, op device.AppOp) {
 	rs.attempts++
 	flows := p.d.attempts[rs.idx][rs.attempts-1]
 	cs := p.clients[rs.ci]
+	p.net.Probe().AppAttempt(op)
 	for _, f := range flows {
-		p.net.TraceFlow(op, cs.node, f)
+		p.net.Probe().AppLaunch(op, cs.node, f)
 		p.net.Launch(f)
 	}
-	if op != trace.OpAppHedge {
+	if op != device.AppHedge {
 		p.net.Eng.AfterArg(p.d.Cfg.Deadline, reqDeadlineFn, rs)
 	}
 }
@@ -177,9 +176,8 @@ func reqDeadlineFn(a any) {
 	p := rs.pl
 	now := p.net.Eng.Now()
 	rs.timeouts++
-	p.net.Metrics.AppTimeouts.Inc()
 	cs := p.clients[rs.ci]
-	p.net.TraceFlow(trace.OpAppTimeout, cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
+	p.net.Probe().AppTimeout(cs.node, p.d.attempts[rs.idx][rs.attempts-1][0])
 	cs.breaker.record(true, now)
 	if rs.attempts < p.d.Cfg.MaxAttempts && !cs.breaker.open(now) && cs.takeRetry() {
 		delay := p.d.Cfg.Policy.Backoff(rs.attempts+1, cs.rng)
@@ -199,8 +197,7 @@ func reqRetryFn(a any) {
 	if rs.resolved {
 		return
 	}
-	p.net.Metrics.AppRetries.Inc()
-	p.launch(rs, trace.OpAppRetry)
+	p.launch(rs, device.AppRetry)
 }
 
 // reqHedgeFn races a second attempt against the still-pending first
@@ -219,8 +216,7 @@ func reqHedgeFn(a any) {
 		return
 	}
 	rs.hedges++
-	p.net.Metrics.AppHedges.Inc()
-	p.launch(rs, trace.OpAppHedge)
+	p.launch(rs, device.AppHedge)
 }
 
 // resolve finishes a request (quorum reached or given up).
@@ -229,13 +225,12 @@ func (p *Plane) resolve(rs *reqState, now units.Time, ok bool) {
 	rs.end = now
 	p.pendingReqs--
 	cs := p.clients[rs.ci]
+	lat := now.Sub(rs.start)
 	if ok {
-		lat := now.Sub(rs.start)
-		p.net.Metrics.AppReqLatency.Observe(int64(lat))
 		cs.lat.add(lat)
 		cs.breaker.record(false, now)
 	}
-	p.net.TraceFlow(trace.OpAppDone, cs.node, p.d.attempts[rs.idx][0][0])
+	p.net.Probe().AppResolve(cs.node, p.d.attempts[rs.idx][0][0], lat, ok)
 	p.resolved()
 }
 
@@ -264,7 +259,7 @@ func (p *Plane) OnFlowDone(f *device.Flow, now units.Time) {
 		return
 	}
 	rs := p.states[ro.req]
-	p.net.Metrics.AppReplies.Inc()
+	p.net.Probe().AppReply()
 	if rs.resolved || rs.replied[ro.worker] {
 		return // late straggler or duplicate attempt's reply
 	}

@@ -8,12 +8,9 @@ import (
 	"hash/crc32"
 
 	"floodgate/internal/device"
-	"floodgate/internal/forensics"
-	"floodgate/internal/metrics"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -58,24 +55,6 @@ type Module struct {
 	// switch detected an upstream restart.
 	epoch   uint32
 	resyncs int
-
-	// frx is the run's forensics recorder (nil when disabled).
-	// creditSentAt/creditFrom are transients valid only inside OnCtrl's
-	// credit-apply loop: drain reads them to attribute a released
-	// packet's wait to credit flight time and to link the unpark back to
-	// the crediting switch.
-	frx          *forensics.Recorder
-	creditSentAt units.Time
-	creditFrom   packet.NodeID
-
-	// Instrument handles copied from the network's NetMetrics at
-	// construction (value types, nil-safe when no registry is attached).
-	mWindows         metrics.Gauge
-	mWindowBytes     metrics.Gauge
-	mVOQsInUse       metrics.Gauge
-	mParkedBytes     metrics.Gauge
-	mCreditsInFlight metrics.Gauge
-	mResyncs         metrics.Counter
 }
 
 // tickArg is the pre-built payload for the per-ingress-port credit
@@ -167,14 +146,6 @@ func newModule(cfg Config, sw *device.Switch) *Module {
 		pausedHosts: make(map[packet.NodeID]map[packet.NodeID]bool),
 		epoch:       1,
 	}
-	m.frx = sw.Net().ForensicsRec()
-	nm := &sw.Net().Metrics
-	m.mWindows = nm.FGWindows
-	m.mWindowBytes = nm.FGWindowBytes
-	m.mVOQsInUse = nm.FGVOQsInUse
-	m.mParkedBytes = nm.FGParkedBytes
-	m.mCreditsInFlight = nm.FGCreditsInFlight
-	m.mResyncs = nm.FGResyncs
 	for i := range node.Ports {
 		m.facesHost[i] = sw.PortFacesHost(i)
 		m.facesSw[i] = !m.facesHost[i]
@@ -287,7 +258,7 @@ func (m *Module) OnIngress(p *packet.Packet, inPort, outPort int) device.Verdict
 // boot epoch so a downstream switch can tell a restart from a gap).
 func (m *Module) forward(w *dstWin, p *packet.Packet, outPort int) {
 	w.avail -= p.Size
-	m.mWindowBytes.Add(int64(p.Size))
+	m.sw.Net().Probe().WindowBytes(int64(p.Size))
 	up := w.port(outPort)
 	up.sent += p.Size
 	p.PSN = up.sent
@@ -316,7 +287,7 @@ func (m *Module) winFor(dst packet.NodeID, outPort int) *dstWin {
 	w := &dstWin{m: m, dst: dst, init: init, avail: init, ports: make(map[int]*upPort)}
 	w.lastCredit = m.now()
 	m.wins[dst] = w
-	m.mWindows.Add(1)
+	m.sw.Net().Probe().Windows(1)
 	if len(m.wins) > m.maxWins {
 		m.maxWins = len(m.wins)
 	}
@@ -359,8 +330,7 @@ func (m *Module) allocVOQ(dst packet.NodeID) *voq {
 		*freeList = (*freeList)[:len(*freeList)-1]
 		v = m.voqs[idx]
 		m.inUse++
-		m.mVOQsInUse.Add(1)
-		m.sw.Net().Stats.VOQInUse(m.inUse)
+		m.sw.Net().Probe().VOQs(1, m.inUse)
 	} else {
 		// Pool exhausted: share an allocated VOQ chosen by hashing the
 		// destination address.
@@ -368,9 +338,7 @@ func (m *Module) allocVOQ(dst packet.NodeID) *voq {
 	}
 	v.dsts = append(v.dsts, dst)
 	m.voqOf[dst] = v
-	if m.frx != nil {
-		m.frx.EpisodeStart(m.sw.Node().ID, dst, m.now())
-	}
+	m.sw.Net().Probe().Episode(m.sw.Node().ID, dst, true)
 	return v
 }
 
@@ -402,19 +370,15 @@ func (m *Module) park(v *voq, p *packet.Packet, outPort int) {
 		v.perDst = make(map[packet.NodeID]units.ByteSize)
 	}
 	v.perDst[p.Dst] += p.Size
-	m.mParkedBytes.Add(int64(p.Size))
 	m.sw.NotePortBytes(outPort, p.Size)
-	if m.frx != nil {
-		m.frx.Parked(m.sw.Node().ID, p.Dst, p.Flow, v.perDst[p.Dst])
-	}
-	m.sw.Net().TraceEvent(trace.OpPark, m.sw.Node().ID, p)
+	m.sw.Net().Probe().Park(m.sw.Node().ID, p, v.perDst[p.Dst])
 	m.maybeDstPause(p)
 }
 
 // drain moves VOQ head packets whose destination has window again into
 // the egress queue, in FIFO order; a blocked head blocks the VOQ
 // (shared-VOQ HOL, a corner the paper accepts).
-func (m *Module) drain(v *voq) {
+func (m *Module) drain(v *voq, creditAt units.Time, from packet.NodeID) {
 	for len(v.q) > 0 {
 		e := v.q[0]
 		p := e.p
@@ -427,18 +391,13 @@ func (m *Module) drain(v *voq) {
 		v.q = v.q[1:]
 		v.bytes -= p.Size
 		v.perDst[p.Dst] -= p.Size
-		m.mParkedBytes.Add(-int64(p.Size))
 		if int(e.out) != outPort {
 			// Routing moved while the packet was parked (a link went
 			// down); move the port-occupancy attribution with it.
 			m.sw.NotePortBytes(int(e.out), -p.Size)
 			m.sw.NotePortBytes(outPort, p.Size)
 		}
-		if m.frx != nil {
-			now := m.now()
-			m.frx.Unparked(p.Flow, p.Last && !p.Trimmed, now.Sub(p.EnqueuedAt), now.Sub(m.creditSentAt))
-		}
-		m.sw.Net().TraceAux(trace.OpUnpark, m.sw.Node().ID, p, m.creditFrom)
+		m.sw.Net().Probe().Unpark(m.sw.Node().ID, p, creditAt, from)
 		m.forward(w, p, outPort)
 		m.sw.InjectEgress(p, outPort, 0)
 		m.maybeDstResume(p.Dst)
@@ -453,13 +412,8 @@ func (m *Module) freeVOQ(v *voq) {
 	if len(v.dsts) == 0 {
 		return
 	}
-	if m.frx != nil {
-		now := m.now()
-		for _, d := range v.dsts {
-			m.frx.EpisodeEnd(m.sw.Node().ID, d, now)
-		}
-	}
 	for _, d := range v.dsts {
+		m.sw.Net().Probe().Episode(m.sw.Node().ID, d, false)
 		delete(m.voqOf, d)
 		if m.cfg.PerDstPause {
 			m.maybeDstResume(d)
@@ -474,7 +428,7 @@ func (m *Module) freeVOQ(v *voq) {
 		m.free = append(m.free, v.idx)
 	}
 	m.inUse--
-	m.mVOQsInUse.Add(-1)
+	m.sw.Net().Probe().VOQs(-1, m.inUse)
 }
 
 // ---- Downstream role: credit generation ----
@@ -566,8 +520,7 @@ func (m *Module) emitCredit(in int, dst packet.NodeID, ch *downChan) {
 	// stamped unconditionally (never read unless forensics is on).
 	cr.SentAt = m.now()
 	ch.pending = 0
-	m.mCreditsInFlight.Add(1)
-	n.TraceAux(trace.OpCredit, m.sw.Node().ID, cr, dst)
+	n.Probe().CreditSent(m.sw.Node().ID, cr, dst)
 	m.sw.SendCtrl(cr, in)
 }
 
@@ -577,14 +530,10 @@ func (m *Module) emitCredit(in int, dst packet.NodeID, ch *downChan) {
 func (m *Module) OnCtrl(p *packet.Packet, inPort int) bool {
 	switch p.Kind {
 	case packet.Credit:
-		m.mCreditsInFlight.Add(-1)
-		m.creditSentAt = p.SentAt
-		m.creditFrom = m.sw.Node().Ports[inPort].Peer
+		m.sw.Net().Probe().CreditApplied()
 		for _, e := range p.Credits {
-			m.applyCredit(inPort, e)
+			m.applyCredit(inPort, e, p.SentAt)
 		}
-		m.creditSentAt = 0
-		m.creditFrom = 0
 		return true
 	case packet.SwitchSYN:
 		// Downstream side: the SYN carries the upstream's cumulative
@@ -605,7 +554,7 @@ func (m *Module) OnCtrl(p *packet.Packet, inPort int) bool {
 // applyCredit resynchronises the window from the downstream cumulative
 // count; byte counts in Bytes are informational (the Cum basis is what
 // makes the scheme robust to credit loss, §4.3).
-func (m *Module) applyCredit(port int, e packet.CreditEntry) {
+func (m *Module) applyCredit(port int, e packet.CreditEntry, sentAt units.Time) {
 	w, ok := m.wins[e.Dst]
 	if !ok {
 		return
@@ -628,13 +577,12 @@ func (m *Module) applyCredit(port int, e packet.CreditEntry) {
 	for _, u := range w.ports {
 		outstanding += u.sent - u.lastCum
 	}
-	availOld := w.avail
+	m.sw.Net().Probe().WindowBytes(int64(w.avail) - int64(w.init-outstanding))
 	w.avail = w.init - outstanding
-	m.mWindowBytes.Add(int64(availOld) - int64(w.avail))
 	w.lastCredit = m.now()
 	w.synDeadline = 0 // lazy disarm: the pending timer finds it and dies
 	if v, ok := m.voqOf[e.Dst]; ok {
-		m.drain(v)
+		m.drain(v, sentAt, m.sw.Node().Ports[port].Peer)
 	}
 }
 
@@ -723,7 +671,7 @@ func (m *Module) checkPSNGap(p *packet.Packet, inPort int) {
 			// upstream had outstanding, restoring its window.)
 			ch.lastPSN = p.PSN - p.Size
 			m.resyncs++
-			m.mResyncs.Inc()
+			m.sw.Net().Probe().Resync()
 		}
 		ch.epoch = p.FGEpoch
 	}
@@ -837,31 +785,24 @@ func (m *Module) Restart() {
 	n := m.sw.Net()
 	node := m.sw.Node()
 
-	// Open incast episodes end with the VOQ state that defined them.
-	if m.frx != nil {
-		m.frx.EpisodeEndAll(node.ID, m.now())
-	}
-
-	// Parked packets die with the switch.
+	// Parked packets die with the switch; open incast episodes end with
+	// the VOQ state that defined them.
 	for _, v := range m.voqs {
 		for _, e := range v.q {
 			m.sw.NotePortBytes(int(e.out), -e.p.Size)
 			m.sw.ReleaseParked(e.p)
-			m.mParkedBytes.Add(-int64(e.p.Size))
-			n.Stats.Drop()
-			n.Metrics.Drops.Inc()
-			n.TraceEvent(trace.OpDrop, node.ID, e.p)
+			n.Probe().DropParked(node.ID, e.p)
 			n.Recycle(e.p)
+		}
+		for _, d := range v.dsts {
+			n.Probe().Episode(node.ID, d, false)
 		}
 		v.q = nil
 		v.bytes = 0
 		v.dsts = v.dsts[:0]
 		clear(v.perDst)
 	}
-	m.mVOQsInUse.Add(-int64(m.inUse))
-	if m.inUse > 0 {
-		m.sw.Net().Stats.VOQInUse(0)
-	}
+	n.Probe().VOQs(-m.inUse, 0)
 	m.inUse = 0
 	m.resetFree()
 	clear(m.voqOf)
@@ -873,8 +814,8 @@ func (m *Module) Restart() {
 		occupied += int64(w.init - w.avail)
 		n.Eng.Cancel(w.synTimer)
 	}
-	m.mWindowBytes.Add(-occupied)
-	m.mWindows.Add(-int64(len(m.wins)))
+	n.Probe().WindowBytes(-occupied)
+	n.Probe().Windows(-len(m.wins))
 	clear(m.wins)
 
 	// Downstream credit state: channels and pending credits are gone.

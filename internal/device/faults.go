@@ -15,7 +15,6 @@ import (
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -255,13 +254,7 @@ func lossyKind(k packet.Kind) bool {
 
 // dropOnWire accounts a frame lost on a dead or lossy link at node.
 func (n *Network) dropOnWire(node packet.NodeID, p *packet.Packet) {
-	n.Stats.Drop()
-	n.Metrics.Drops.Inc()
-	if p.Kind == packet.Credit {
-		// A lost credit can no longer be applied upstream.
-		n.Metrics.FGCreditsInFlight.Add(-1)
-	}
-	n.TraceEvent(trace.OpDrop, node, p)
+	n.probe.Drop(node, p)
 	n.Recycle(p)
 }
 
@@ -334,8 +327,7 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 	for i, paused := range s.pausedSelf {
 		if paused {
 			s.pausedSelf[i] = false
-			n.Stats.PFCPaused(s.node.Layer, n.Eng.Now().Sub(s.pauseStart[i]))
-			n.Metrics.PFCPortsPaused.Add(-1)
+			n.probe.PFCResume(s.node.Layer, n.Eng.Now().Sub(s.pauseStart[i]))
 		}
 	}
 
@@ -346,7 +338,7 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 			p := o.ctrl.pop()
 			if p.Kind == packet.Data { // NDP trimmed header: still charged
 				s.release(p.Size, int(p.InPort))
-				s.notePort(i, -p.Size)
+				s.NotePortBytes(i, -p.Size)
 			}
 			n.dropOnWire(s.node.ID, p)
 		}
@@ -354,7 +346,7 @@ func (n *Network) restartSwitch(id packet.NodeID) {
 			for !o.data[q].empty() {
 				p := o.data[q].pop()
 				s.release(p.Size, int(p.InPort))
-				s.notePort(i, -p.Size)
+				s.NotePortBytes(i, -p.Size)
 				n.dropOnWire(s.node.ID, p)
 			}
 			o.data[q].paused = false

@@ -3,14 +3,11 @@
 package device
 
 import (
-	"fmt"
-
 	"floodgate/internal/cc"
 	"floodgate/internal/forensics"
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -191,24 +188,6 @@ func (h *Host) startFlow(f *Flow) {
 	h.kick()
 }
 
-// pauseCumNow is the host's cumulative PFC-paused duration at now,
-// including the still-open interval. Forensics uses the difference of
-// two readings to split a sendable wait into busy and paused parts.
-func (h *Host) pauseCumNow(now units.Time) units.Duration {
-	c := h.pfcCum
-	if h.pfcPaused {
-		c += now.Sub(h.pfcStart)
-	}
-	return c
-}
-
-// frxFlow records a sender wait-state transition. Callers gate on
-// h.net.frx != nil so the disabled path is one load and branch.
-func (h *Host) frxFlow(f *Flow, st forensics.SendState) {
-	now := h.net.Eng.Now()
-	h.net.frx.FlowState(f.ID, st, now, h.pauseCumNow(now))
-}
-
 // wantsSend reports whether the flow has anything left to emit.
 func (f *Flow) wantsSend(ndp bool) bool {
 	if f.senderDone {
@@ -228,9 +207,7 @@ func (h *Host) enqueue(f *Flow) {
 	}
 	f.queued = true
 	h.sendq = append(h.sendq, f)
-	if h.net.frx != nil {
-		h.frxFlow(f, forensics.SendSendable)
-	}
+	h.net.probe.FlowState(h, f, forensics.SendSendable)
 }
 
 // popSendq removes the next queued flow, compacting lazily.
@@ -265,13 +242,7 @@ func (h *Host) receive(p *packet.Packet) {
 			h.net.Metrics.PFCPortsPaused.Add(1)
 		}
 	case packet.PFCResume:
-		if h.pfcPaused {
-			h.pfcPaused = false
-			h.pfcCum += now.Sub(h.pfcStart)
-			h.net.Stats.PFCPaused(topo.LayerHost, now.Sub(h.pfcStart))
-			h.net.Metrics.PFCPortsPaused.Add(-1)
-			h.kick()
-		}
+		h.clearPFC()
 	case packet.DstPause:
 		if !h.pausedDst[p.PauseDst] {
 			if h.pausedDst == nil {
@@ -344,16 +315,15 @@ func (h *Host) wakeDst(dst packet.NodeID) {
 	h.kick()
 }
 
-// clearPFC forgets an inbound PFC pause (used by the fault plane when
-// the link that carried — or lost — the resume comes back up).
+// clearPFC ends an inbound PFC pause: a resume frame arrived, or the
+// fault plane restored the link that carried (or lost) the resume.
 func (h *Host) clearPFC() {
 	if !h.pfcPaused {
 		return
 	}
 	h.pfcPaused = false
 	h.pfcCum += h.net.Eng.Now().Sub(h.pfcStart)
-	h.net.Stats.PFCPaused(topo.LayerHost, h.net.Eng.Now().Sub(h.pfcStart))
-	h.net.Metrics.PFCPortsPaused.Add(-1)
+	h.net.probe.PFCResume(topo.LayerHost, h.net.Eng.Now().Sub(h.pfcStart))
 	h.kick()
 }
 
@@ -397,7 +367,7 @@ func (h *Host) finalizePFC() {
 }
 
 func (h *Host) receiveData(p *packet.Packet, now units.Time) {
-	h.net.TraceEvent(trace.OpDeliver, h.node.ID, p)
+	h.net.probe.Deliver(h.node.ID, p)
 	f := h.net.flow(p.Flow)
 	if f == nil {
 		return
@@ -511,8 +481,7 @@ func (h *Host) pacePulls() {
 func (h *Host) completeFlow(f *Flow, now units.Time) {
 	f.done = true
 	f.Finish = now
-	h.net.Stats.FlowDone(uint64(f.ID), f.Cat, f.Size, f.Start, now, h.port.Rate)
-	h.net.Metrics.FCT.Observe(int64(now.Sub(f.Start)))
+	h.net.probe.FlowDone(f, h.port.Rate)
 	if h.net.OnFlowDone != nil {
 		h.net.OnFlowDone(f, now)
 	}
@@ -547,7 +516,7 @@ func (h *Host) receiveNack(p *packet.Packet) {
 		return
 	}
 	f.rtxQ = append(f.rtxQ, p.AckSeq)
-	h.net.Stats.Retransmit()
+	h.net.Stats.Retransmits++
 	h.enqueue(f)
 	h.kick()
 }
@@ -592,10 +561,8 @@ func (h *Host) serviceRTO() {
 		}
 		// Stalled: rewind and retransmit.
 		if f.sndNxt > f.sndUna {
-			h.net.TraceFlow(trace.OpRTO, h.node.ID, f)
+			h.net.probe.RTO(h.node.ID, f)
 			f.sndNxt = f.sndUna
-			h.net.Stats.Retransmit()
-			h.net.Metrics.RTOs.Inc()
 		}
 		f.lastProgress = now
 		f.inRtoQ = true
@@ -649,25 +616,19 @@ func (h *Host) kick() {
 		}
 		f.queued = false
 		if !f.wantsSend(ndp) {
-			if h.net.frx != nil {
-				h.frxFlow(f, forensics.SendNet)
-			}
+			h.net.probe.FlowState(h, f, forensics.SendNet)
 			continue
 		}
 		if (len(h.pausedDst) != 0 && h.pausedDst[f.Dst]) ||
 			(len(h.pausedFlows) != 0 && h.pausedFlows[f.ID]) {
-			if h.net.frx != nil {
-				h.frxFlow(f, forensics.SendPaused)
-			}
+			h.net.probe.FlowState(h, f, forensics.SendPaused)
 			continue // resume re-enqueues
 		}
 		if ndp {
 			canRtx := len(f.rtxQ) > 0 && f.pullCredits > 0
 			canNew := f.sndNxt < f.Size && (f.sndNxt < h.net.BaseBDP() || f.pullCredits > 0)
 			if !canRtx && !canNew {
-				if h.net.frx != nil {
-					h.frxFlow(f, forensics.SendWindow)
-				}
+				h.net.probe.FlowState(h, f, forensics.SendWindow)
 				continue // a Pull re-enqueues
 			}
 		} else {
@@ -676,17 +637,13 @@ func (h *Host) kick() {
 				payload = MSS
 			}
 			if f.inflight() > 0 && f.inflight()+payload > f.ctrl.Window() {
-				if h.net.frx != nil {
-					h.frxFlow(f, forensics.SendWindow)
-				}
+				h.net.probe.FlowState(h, f, forensics.SendWindow)
 				continue // an ACK re-enqueues
 			}
 			if f.nextSend > now {
 				// Pacing: the flow stays owed to the queue; its wake
 				// timer re-enqueues it.
-				if h.net.frx != nil {
-					h.frxFlow(f, forensics.SendPaced)
-				}
+				h.net.probe.FlowState(h, f, forensics.SendPaced)
 				f.queued = true
 				h.net.Eng.AtArg(f.nextSend, flowWakeFn, f)
 				continue
@@ -736,16 +693,12 @@ func (h *Host) sendSegment(f *Flow, now units.Time) {
 	f.ctrl.OnSend(now, p.Size)
 	h.armRTO(f)
 	h.enqueue(f) // rotate to the queue tail if more remains
-	if h.net.frx != nil && !f.queued {
+	if !f.queued {
 		// Everything emitted: the flow now waits on the network. A later
 		// re-enqueue (NACK, RTO rewind) closes this interval as rtx waste.
-		h.frxFlow(f, forensics.SendNet)
+		h.net.probe.FlowState(h, f, forensics.SendNet)
 	}
-	h.net.TraceEvent(trace.OpSend, h.node.ID, p)
-	if isRtx {
-		h.net.Metrics.RetxSegments.Inc()
-		h.net.TraceEvent(trace.OpRetx, h.node.ID, p)
-	}
+	h.net.probe.Send(h.node.ID, p)
 	h.transmit(p)
 }
 
@@ -759,27 +712,4 @@ func (h *Host) transmit(p *packet.Packet) {
 		return
 	}
 	h.wire.push(h.net.Eng.Now().Add(ser+h.port.Prop), p)
-}
-
-// DebugString reports a flow's transfer state (diagnostics).
-func (f *Flow) DebugString() string {
-	return fmt.Sprintf("flow %d %d->%d size=%v start=%v sndNxt=%v sndUna=%v rcvNxt=%v queued=%v inRtoQ=%v senderDone=%v",
-		f.ID, f.Src, f.Dst, f.Size, f.Start, f.sndNxt, f.sndUna, f.rcvNxt, f.queued, f.inRtoQ, f.senderDone)
-}
-
-// DebugHostState reports NIC scheduler internals (diagnostics).
-func (h *Host) DebugHostState() string {
-	inSendq := 0
-	for i := h.sendqHead; i < len(h.sendq); i++ {
-		if h.sendq[i] != nil {
-			inSendq++
-		}
-	}
-	return fmt.Sprintf("host %d busy=%v pfc=%v sendq=%d rtoQ=%d rtoTimerActive=%v ctrlq=%d",
-		h.node.ID, h.busy, h.pfcPaused, inSendq, len(h.rtoQ)-h.rtoHead, h.rtoTimer.Active(), h.ctrlQ.len())
-}
-
-// DebugNextSend exposes pacing state (diagnostics).
-func (f *Flow) DebugNextSend() string {
-	return fmt.Sprintf("nextSend=%v lastProgress=%v window=%v rate=%v", f.nextSend, f.lastProgress, f.ctrl.Window(), f.ctrl.Rate())
 }

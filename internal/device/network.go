@@ -90,17 +90,16 @@ type Config struct {
 	CreditLossRate float64
 
 	// Trace, when non-nil, records packet lifecycle events (see the
-	// trace package). Disabled tracing costs one nil check per event.
+	// trace package).
 	Trace *trace.Buffer
 
 	// Forensics, when non-nil, receives causal wait-state hooks (see
-	// the forensics package). Disabled forensics costs one nil check
-	// per hook site and allocates nothing.
+	// the forensics package).
 	Forensics *forensics.Recorder
 
 	// Metrics carries the instrument handles the devices update. The
-	// zero value is inert (nil-safe handles), so unmetered runs pay
-	// only embedded nil checks.
+	// zero value is inert; Probe, which feeds these and the other sinks,
+	// documents what a disabled sink costs.
 	Metrics NetMetrics
 }
 
@@ -154,6 +153,7 @@ type Network struct {
 	Eng     *sim.Engine
 	Stats   *stats.Collector
 	Metrics NetMetrics
+	probe   Probe
 	nextID  uint64
 
 	// dirBase[id] is the number of directed ports owned by nodes with
@@ -178,10 +178,6 @@ type Network struct {
 	direct    int
 	injNext   int
 	injEnd    int
-
-	// frx is the run's forensics recorder (nil when disabled); every
-	// hook site checks it before doing any work.
-	frx *forensics.Recorder
 
 	// faults is the runtime fault-plane state (nil without a plan); see
 	// faults.go. delivered is the global payload-progress counter the
@@ -209,7 +205,7 @@ func New(cfg Config) *Network {
 		HostsByID: make([]*Host, len(cfg.Topo.Nodes)),
 		Hosts:     make([]*Host, 0, cfg.Topo.NumHosts()),
 		flows:     []*Flow{nil}, // FlowID 0 is unused
-		frx:       cfg.Forensics,
+		probe:     Probe{eng: cfg.Engine, stats: cfg.Stats, m: cfg.Metrics, trace: cfg.Trace, frx: cfg.Forensics},
 	}
 	n.dirBase = make([]uint32, len(cfg.Topo.Nodes))
 	var dirCnt uint32
@@ -299,42 +295,6 @@ func (n *Network) pktID() uint64 {
 
 // PktID mints a unique packet id (for flow-control modules).
 func (n *Network) PktID() uint64 { return n.pktID() }
-
-// TraceEvent records a packet lifecycle point when tracing is enabled
-// (used by devices and flow-control modules).
-func (n *Network) TraceEvent(op trace.Op, node packet.NodeID, p *packet.Packet) {
-	if n.Cfg.Trace != nil {
-		n.Cfg.Trace.Record(trace.Of(n.Eng.Now(), op, node, p))
-	}
-}
-
-// TraceAux records a lifecycle point carrying an op-specific
-// counterpart node in the event's Aux field (the credited flow
-// destination on OpCredit, the credit's source switch on OpUnpark) so
-// the Perfetto exporter can link cause to effect.
-func (n *Network) TraceAux(op trace.Op, node packet.NodeID, p *packet.Packet, aux packet.NodeID) {
-	if n.Cfg.Trace != nil {
-		e := trace.Of(n.Eng.Now(), op, node, p)
-		e.Aux = aux
-		n.Cfg.Trace.Record(e)
-	}
-}
-
-// ForensicsRec returns the run's forensics recorder (nil when
-// disabled); flow-control modules cache it at construction.
-func (n *Network) ForensicsRec() *forensics.Recorder { return n.frx }
-
-// TraceFlow records a packet-less flow lifecycle point (e.g. an RTO
-// rewind, which has no frame to borrow fields from): Seq carries the
-// rewind target and Size the bytes that were in flight.
-func (n *Network) TraceFlow(op trace.Op, node packet.NodeID, f *Flow) {
-	if n.Cfg.Trace != nil {
-		n.Cfg.Trace.Record(trace.Event{
-			At: n.Eng.Now(), Op: op, Node: node, Kind: packet.Data,
-			Flow: f.ID, Seq: f.sndUna, Size: f.inflight(), Dst: f.Dst,
-		})
-	}
-}
 
 // Device dispatch: deliver a packet to the node that owns the port.
 func (n *Network) deliver(to packet.NodeID, p *packet.Packet, inPort int) {
@@ -444,9 +404,7 @@ func (n *Network) SealFlows() {
 		panic("device: SealFlows on a network with AddFlow flows")
 	}
 	n.sealed = true
-	if n.frx != nil {
-		n.frx.Seal(len(n.flows))
-	}
+	n.probe.FlowsSealed(len(n.flows))
 	n.injNext = 1
 	n.armInjector()
 }

@@ -5,9 +5,7 @@ package device
 import (
 	"floodgate/internal/packet"
 	"floodgate/internal/sim"
-	"floodgate/internal/stats"
 	"floodgate/internal/topo"
-	"floodgate/internal/trace"
 	"floodgate/internal/units"
 )
 
@@ -108,7 +106,7 @@ func newSwitch(n *Network, node *topo.Node) *Switch {
 // Node returns the topology node this switch realises.
 func (s *Switch) Node() *topo.Node { return s.node }
 
-// Net returns the owning network (modules use it for time and stats).
+// Net returns the owning network (modules use it for time and its Probe).
 func (s *Switch) Net() *Network { return s.net }
 
 // FC returns the attached flow-control module.
@@ -151,9 +149,7 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 	n := s.net
 	// Shared-buffer admission.
 	if s.used+p.Size > n.Cfg.BufferSize {
-		n.Stats.Drop()
-		n.Metrics.Drops.Inc()
-		n.TraceEvent(trace.OpDrop, s.node.ID, p)
+		n.probe.Drop(s.node.ID, p)
 		n.Recycle(p)
 		return
 	}
@@ -179,30 +175,14 @@ func (s *Switch) receiveData(p *packet.Packet, inPort int) {
 	if n.Cfg.NDP.Enable && !p.Trimmed && s.out[out].dataBytes() >= n.Cfg.NDP.TrimThresh {
 		cut := p.Size - packet.HeaderSize
 		p.Trim()
-		s.release(cut, inPort)
-		n.Stats.Trim()
-		n.Metrics.Trims.Inc()
-		s.sendCtrl2(p, out)
+		s.release(cut, inPort) // header keeps only its own share charged
+		n.probe.Trim()
+		s.sendCtrl2(p, out) // trimmed headers ride the priority class
 		return
 	}
 
 	v := s.fc.OnIngress(p, inPort, out)
-	switch {
-	case v.Consumed:
-		return
-	case v.Drop:
-		s.release(p.Size, inPort)
-		n.Stats.Drop()
-		n.Metrics.Drops.Inc()
-		n.Recycle(p)
-		return
-	case v.Trim:
-		cut := p.Size - packet.HeaderSize
-		p.Trim()
-		s.release(cut, inPort) // header keeps only its own share charged
-		n.Stats.Trim()
-		n.Metrics.Trims.Inc()
-		s.sendCtrl2(p, out) // trimmed headers ride the priority class
+	if v.Consumed {
 		return
 	}
 	s.enqueueData(p, out, v.Queue)
@@ -220,18 +200,9 @@ func (s *Switch) enqueueData(p *packet.Packet, out, queue int) {
 		s.maybeMark(p, out)
 	}
 	p.EnqueuedAt = s.net.Eng.Now()
-	if s.net.frx != nil && p.Last && !p.Trimmed {
-		// Stamp the egress pause-cum so dequeue can split this packet's
-		// FIFO wait into queueing and PFC-blocked time.
-		c := s.pauseCum[out]
-		if s.pausedSelf[out] {
-			c += s.net.Eng.Now().Sub(s.pauseStart[out])
-		}
-		p.EnqPauseCum = c
-	}
 	o.data[queue].push(p)
-	s.notePort(out, p.Size)
-	s.net.TraceEvent(trace.OpEnqueue, s.node.ID, p)
+	s.NotePortBytes(out, p.Size)
+	s.net.probe.Enqueue(s, out, p)
 	s.kick(out)
 }
 
@@ -239,7 +210,7 @@ func (s *Switch) enqueueData(p *packet.Packet, out, queue int) {
 // an egress data queue. The module must have tracked the parked bytes
 // with NotePortBytes; injection hands that accounting back.
 func (s *Switch) InjectEgress(p *packet.Packet, out, queue int) {
-	s.notePort(out, -p.Size)
+	s.NotePortBytes(out, -p.Size)
 	s.enqueueData(p, out, queue)
 }
 
@@ -251,16 +222,12 @@ func (s *Switch) ReleaseParked(p *packet.Packet) {
 
 // NotePortBytes lets a module attribute parked bytes to an egress port
 // for the per-port-class occupancy statistics.
-func (s *Switch) NotePortBytes(out int, delta units.ByteSize) { s.notePort(out, delta) }
-
-func (s *Switch) notePort(out int, delta units.ByteSize) {
+func (s *Switch) NotePortBytes(out int, delta units.ByteSize) {
 	if out < 0 {
 		return
 	}
 	s.portBytes[out] += delta
-	class := s.node.Ports[out].Class
-	s.net.Metrics.QueuedBytes[class].Add(int64(delta))
-	s.net.Stats.PortBuffer(s.net.Eng.Now(), int32(s.node.ID), int32(out), class, s.portBytes[out])
+	s.net.probe.PortBytes(s.node.Ports[out].Class, delta, s.portBytes[out])
 }
 
 // maybeMark applies RED-style ECN based on the egress backlog (or the
@@ -301,7 +268,7 @@ func (s *Switch) SendCtrl(p *packet.Packet, out int) { s.sendCtrl(p, out) }
 func (s *Switch) sendCtrl2(p *packet.Packet, out int) {
 	p.EnqueuedAt = s.net.Eng.Now()
 	s.out[out].ctrl.push(p)
-	s.notePort(out, p.Size)
+	s.NotePortBytes(out, p.Size)
 	s.kick(out)
 }
 
@@ -309,7 +276,7 @@ func (s *Switch) sendCtrl2(p *packet.Packet, out int) {
 func (s *Switch) charge(b units.ByteSize, inPort int) {
 	s.used += b
 	s.ingress[inPort] += b
-	s.net.Stats.SwitchBuffer(int32(s.node.ID), s.used)
+	s.net.Stats.SwitchBuffer(s.used)
 }
 
 func (s *Switch) release(b units.ByteSize, inPort int) {
@@ -317,7 +284,7 @@ func (s *Switch) release(b units.ByteSize, inPort int) {
 	if inPort >= 0 {
 		s.ingress[inPort] -= b
 	}
-	s.net.Stats.SwitchBuffer(int32(s.node.ID), s.used)
+	s.net.Stats.SwitchBuffer(s.used)
 	if s.net.Cfg.PFC.Enable && s.pausedUpCount > 0 {
 		s.maybeResumeUpstream()
 	}
@@ -355,8 +322,7 @@ func (s *Switch) resumeSelf(i int) {
 	}
 	s.pausedSelf[i] = false
 	s.pauseCum[i] += s.net.Eng.Now().Sub(s.pauseStart[i])
-	s.net.Stats.PFCPaused(s.node.Layer, s.net.Eng.Now().Sub(s.pauseStart[i]))
-	s.net.Metrics.PFCPortsPaused.Add(-1)
+	s.net.probe.PFCResume(s.node.Layer, s.net.Eng.Now().Sub(s.pauseStart[i]))
 	s.kick(i)
 }
 
@@ -431,19 +397,8 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 	isData := p.Kind == packet.Data // trimmed headers keep Kind Data
 
 	if isData {
-		// Queuing-time attribution (non-incast data only, per Fig 11b).
-		if p.Cat != packet.CatIncast {
-			n.Stats.QueueDelay(o.tp.Class, now.Sub(p.EnqueuedAt))
-			n.Metrics.QueueDelay.Observe(int64(now.Sub(p.EnqueuedAt)))
-		}
 		s.fc.OnDequeue(p, i, queue)
-		if n.frx != nil && p.Last && !p.Trimmed {
-			// Final-segment hop attribution. The port cannot be paused at a
-			// data dequeue (pick skips paused ports), so pauseCum[i] is
-			// closed and the PFC overlap is its advance since enqueue.
-			wait := now.Sub(p.EnqueuedAt)
-			n.frx.Hop(p.Flow, wait, s.pauseCum[i]-p.EnqPauseCum, units.TxTime(p.Size, o.tp.Rate))
-		}
+		n.probe.Dequeue(p, o.tp, s.pauseCum[i])
 		if n.Cfg.INT && !p.Trimmed {
 			q := s.out[i].dataBytes()
 			if sig := s.fc.QueueSignal(p, i); sig > q {
@@ -455,17 +410,14 @@ func (s *Switch) transmit(p *packet.Packet, i, queue int) {
 
 	o.busy = true
 	o.txBytes += p.Size
-	n.Stats.OnWire(now, wireClass(p.Kind), p.Size)
-	if isData {
-		n.TraceEvent(trace.OpTx, s.node.ID, p)
-	}
+	n.probe.Tx(s.node.ID, p)
 
 	ser := units.TxTime(p.Size, o.tp.Rate)
 	o.pendSize = p.Size
 	o.pendInPort = int(p.InPort)
 	o.pendCharged = isData
 	if isData {
-		s.notePort(i, -p.Size)
+		s.NotePortBytes(i, -p.Size)
 	}
 	n.Eng.AfterArg(ser, txDoneFn, o)
 
@@ -495,15 +447,4 @@ func (s *Switch) lossRateFor(k packet.Kind) float64 {
 		return s.net.Cfg.LossRate
 	}
 	return 0
-}
-
-func wireClass(k packet.Kind) stats.WireClass {
-	switch k {
-	case packet.Data:
-		return stats.WireData
-	case packet.Credit, packet.SwitchSYN:
-		return stats.WireCredit
-	default:
-		return stats.WireCtrl
-	}
 }

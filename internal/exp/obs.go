@@ -78,14 +78,6 @@ type obsRun struct {
 	sampler *metrics.Sampler
 	tbuf    *trace.Buffer
 	label   string
-
-	engProcessed metrics.Gauge
-	engLive      metrics.Gauge
-	engHeapLen   metrics.Gauge
-	engHeapHW    metrics.Gauge
-	engDead      metrics.Gauge
-	engSlab      metrics.Gauge
-	engInUse     metrics.Gauge
 }
 
 // newObsRun builds the registry (engine instruments first, then the
@@ -93,18 +85,14 @@ type obsRun struct {
 // and returns the run handle. Call start after the network exists.
 func newObsRun(rc RunConfig, o Options, eng *sim.Engine, dcfg *device.Config) *obsRun {
 	r := metrics.NewRegistry()
-	ob := &obsRun{
-		cfg:          o.Obs,
-		reg:          r,
-		label:        obsLabel(rc),
-		engProcessed: r.Gauge("engine.events_processed", "events"),
-		engLive:      r.Gauge("engine.live_events", "events"),
-		engHeapLen:   r.Gauge("engine.heap_len", "entries"),
-		engHeapHW:    r.Gauge("engine.heap_high_water", "entries"),
-		engDead:      r.Gauge("engine.dead_entries", "entries"),
-		engSlab:      r.Gauge("engine.slab_size", "slots"),
-		engInUse:     r.Gauge("engine.events_in_use", "slots"),
-	}
+	ob := &obsRun{cfg: o.Obs, reg: r, label: obsLabel(rc)}
+	processed := r.Gauge("engine.events_processed", "events")
+	live := r.Gauge("engine.live_events", "events")
+	heapLen := r.Gauge("engine.heap_len", "entries")
+	heapHW := r.Gauge("engine.heap_high_water", "entries")
+	dead := r.Gauge("engine.dead_entries", "entries")
+	slab := r.Gauge("engine.slab_size", "slots")
+	inUse := r.Gauge("engine.events_in_use", "slots")
 	dcfg.Metrics = device.NewNetMetrics(r)
 	if dcfg.Trace == nil {
 		ob.tbuf = trace.NewBuffer(obsTraceCap, trace.Filter{})
@@ -113,13 +101,13 @@ func newObsRun(rc RunConfig, o Options, eng *sim.Engine, dcfg *device.Config) *o
 	ob.sampler = metrics.NewSampler(eng, r, o.Obs.period())
 	ob.sampler.AddProbe(func() {
 		st := eng.StatsSnapshot()
-		ob.engProcessed.Set(int64(st.Processed))
-		ob.engLive.Set(int64(st.Live))
-		ob.engHeapLen.Set(int64(st.HeapLen))
-		ob.engHeapHW.Set(int64(st.HeapHighWater))
-		ob.engDead.Set(int64(st.DeadEntries))
-		ob.engSlab.Set(int64(st.SlabSize))
-		ob.engInUse.Set(int64(st.InUse))
+		processed.Set(int64(st.Processed))
+		live.Set(int64(st.Live))
+		heapLen.Set(int64(st.HeapLen))
+		heapHW.Set(int64(st.HeapHighWater))
+		dead.Set(int64(st.DeadEntries))
+		slab.Set(int64(st.SlabSize))
+		inUse.Set(int64(st.InUse))
 	})
 	return ob
 }

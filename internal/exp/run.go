@@ -419,7 +419,7 @@ func Run(rc RunConfig) *RunResult {
 		progress := func() int64 { return int64(net.DeliveredBytes()) }
 		wd = sim.NewWatchdog(eng, horizon, progress, func() {
 			diag = stallDiagnosis(net, plane, horizon, total-done)
-			net.Metrics.WatchdogTrips.Inc()
+			net.Probe().WatchdogTrip()
 			eng.Stop()
 		})
 	}

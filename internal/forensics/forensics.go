@@ -267,20 +267,3 @@ func (r *Recorder) EpisodeEnd(sw, dst packet.NodeID, now units.Time) {
 		delete(r.open, k)
 	}
 }
-
-// EpisodeEndAll closes every open episode at one switch (restart: the
-// VOQ state died). Walks the episode slice, not the open map, so the
-// closing order is append order — deterministic.
-func (r *Recorder) EpisodeEndAll(sw packet.NodeID, now units.Time) {
-	for i := range r.episodes {
-		ep := &r.episodes[i]
-		if ep.Switch != sw {
-			continue
-		}
-		k := epKey{ep.Switch, ep.Dst}
-		if j, ok := r.open[k]; ok && j == i {
-			ep.End = now
-			delete(r.open, k)
-		}
-	}
-}

@@ -140,10 +140,10 @@ func TestEpisodeLifecycle(t *testing.T) {
 		t.Errorf("victims = %v, want exactly flows 1 and 2", ep.Victims)
 	}
 
-	// EndAll closes only the named switch's open episodes.
+	// Episodes are per (switch, dst): ending switch 7's leaves 8's open.
 	r.EpisodeStart(7, 200, tm(20))
 	r.EpisodeStart(8, 200, tm(21))
-	r.EpisodeEndAll(7, tm(30))
+	r.EpisodeEnd(7, 200, tm(30))
 	var open7, open8 int
 	for i := range r.episodes {
 		if !r.episodes[i].Open() {
@@ -157,7 +157,7 @@ func TestEpisodeLifecycle(t *testing.T) {
 		}
 	}
 	if open7 != 0 || open8 != 1 {
-		t.Errorf("open episodes after EndAll(7): sw7=%d sw8=%d, want 0/1", open7, open8)
+		t.Errorf("open episodes after ending (7, 200): sw7=%d sw8=%d, want 0/1", open7, open8)
 	}
 }
 

@@ -39,5 +39,5 @@ func Fold(c *stats.Collector, sizes map[uint64]units.ByteSize) {
 	for _, size := range sizes { //lint:allow maprange order-independent sum; one write after the loop
 		total += size
 	}
-	c.SwitchBuffer(0, total)
+	c.SwitchBuffer(total)
 }

@@ -17,8 +17,8 @@ import (
 // ReportBuffers leaks per-host map order into the stats collector —
 // the generic maprange rule, the per-host rule and detwrite all fire.
 func ReportBuffers(col *stats.Collector, occ map[packet.NodeID]units.ByteSize) {
-	for n, b := range occ {
-		col.SwitchBuffer(int32(n), b)
+	for _, b := range occ {
+		col.SwitchBuffer(b)
 	}
 }
 
@@ -26,8 +26,8 @@ func ReportBuffers(col *stats.Collector, occ map[packet.NodeID]units.ByteSize) {
 // maprange allow (an order-independence claim about the loop) does not
 // suppress the per-host finding about the sink write.
 func ReportAllowedGeneric(col *stats.Collector, occ map[packet.NodeID]units.ByteSize) {
-	for n, b := range occ { //lint:allow maprange fixture: claims an order-independent reduction, which does not cover the sink write
-		col.SwitchBuffer(int32(n), b)
+	for _, b := range occ { //lint:allow maprange fixture: claims an order-independent reduction, which does not cover the sink write
+		col.SwitchBuffer(b)
 	}
 }
 
@@ -49,7 +49,7 @@ func CountPaused(col *stats.Collector, paused map[packet.NodeID]bool) {
 // slice), and the map is only ever indexed, never ranged, at the sink.
 func ReportOrdered(col *stats.Collector, nodes []packet.NodeID, occ map[packet.NodeID]units.ByteSize) {
 	for _, n := range nodes {
-		col.SwitchBuffer(int32(n), occ[n])
+		col.SwitchBuffer(occ[n])
 	}
 }
 

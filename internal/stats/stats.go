@@ -126,7 +126,7 @@ func (c *Collector) FlowDone(flow uint64, cat Category, size units.ByteSize, sta
 // SwitchBuffer reports a switch's new total buffer occupancy. Only the
 // network-wide maximum is retained: the per-switch maximum never exceeds
 // it, so a single comparison is an equivalent gate.
-func (c *Collector) SwitchBuffer(node int32, total units.ByteSize) {
+func (c *Collector) SwitchBuffer(total units.ByteSize) {
 	if total > c.maxNetSwitch {
 		c.maxNetSwitch = total
 	}
@@ -134,7 +134,7 @@ func (c *Collector) SwitchBuffer(node int32, total units.ByteSize) {
 
 // PortBuffer reports a port's new buffered byte count (egress queue
 // plus VOQ bytes routed through it).
-func (c *Collector) PortBuffer(now units.Time, node int32, port int32, class topo.PortClass, bytes units.ByteSize) {
+func (c *Collector) PortBuffer(now units.Time, class topo.PortClass, bytes units.ByteSize) {
 	if bytes > c.maxClassBuf[class] {
 		c.maxClassBuf[class] = bytes
 	}
@@ -171,11 +171,6 @@ func (c *Collector) OnWire(now units.Time, class WireClass, bytes units.ByteSize
 	c.wireSeries[class][idx] += bytes
 	c.wireTotal[class] += bytes
 }
-
-// Drop, Trim and Retransmit bump the respective counters.
-func (c *Collector) Drop()       { c.Drops++ }
-func (c *Collector) Trim()       { c.Trims++ }
-func (c *Collector) Retransmit() { c.Retransmits++ }
 
 // VOQInUse reports a switch's current number of occupied VOQs.
 func (c *Collector) VOQInUse(n int) {

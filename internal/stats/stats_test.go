@@ -96,15 +96,15 @@ func TestCDFShape(t *testing.T) {
 
 func TestBufferMaxima(t *testing.T) {
 	c := NewCollector(0)
-	c.SwitchBuffer(1, 100)
-	c.SwitchBuffer(1, 50)
-	c.SwitchBuffer(2, 80)
+	c.SwitchBuffer(100)
+	c.SwitchBuffer(50)
+	c.SwitchBuffer(80)
 	if got := c.MaxSwitchBuffer(); got != 100 {
 		t.Fatalf("max switch buffer = %v", got)
 	}
-	c.PortBuffer(0, 1, 0, topo.ClassToRDown, 60)
-	c.PortBuffer(0, 1, 0, topo.ClassToRDown, 40)
-	c.PortBuffer(0, 2, 1, topo.ClassCore, 55)
+	c.PortBuffer(0, topo.ClassToRDown, 60)
+	c.PortBuffer(0, topo.ClassToRDown, 40)
+	c.PortBuffer(0, topo.ClassCore, 55)
 	if got := c.MaxClassBuffer(topo.ClassToRDown); got != 60 {
 		t.Fatalf("class max = %v", got)
 	}
@@ -115,9 +115,9 @@ func TestBufferMaxima(t *testing.T) {
 
 func TestBufSeriesBinning(t *testing.T) {
 	c := NewCollector(10 * units.Microsecond)
-	c.PortBuffer(units.Time(5*units.Microsecond), 1, 0, topo.ClassCore, 10)
-	c.PortBuffer(units.Time(9*units.Microsecond), 1, 0, topo.ClassCore, 30)
-	c.PortBuffer(units.Time(15*units.Microsecond), 1, 0, topo.ClassCore, 20)
+	c.PortBuffer(units.Time(5*units.Microsecond), topo.ClassCore, 10)
+	c.PortBuffer(units.Time(9*units.Microsecond), topo.ClassCore, 30)
+	c.PortBuffer(units.Time(15*units.Microsecond), topo.ClassCore, 20)
 	s := c.BufSeries(topo.ClassCore)
 	if len(s) != 2 || s[0] != 30 || s[1] != 20 {
 		t.Fatalf("series = %v", s)
@@ -186,12 +186,12 @@ func TestPoissonFCTsCombines(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	c := NewCollector(0)
-	c.Drop()
-	c.Trim()
-	c.Retransmit()
+	if c.Drops != 0 || c.Trims != 0 || c.Retransmits != 0 || c.MaxVOQInUse != 0 {
+		t.Fatalf("fresh counters: %+v", c)
+	}
 	c.VOQInUse(3)
 	c.VOQInUse(1)
-	if c.Drops != 1 || c.Trims != 1 || c.Retransmits != 1 || c.MaxVOQInUse != 3 {
+	if c.MaxVOQInUse != 3 {
 		t.Fatalf("counters: %+v", c)
 	}
 }

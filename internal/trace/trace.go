@@ -1,6 +1,6 @@
 // Package trace is the simulator's flight recorder: a bounded ring of
 // packet-lifecycle events (send, enqueue, park, transmit, deliver,
-// drop, credit, pause) that costs one predicate call when disabled and
+// drop, credit, unpark) that costs one predicate call when disabled and
 // no allocation when enabled. Filters select by flow, node or kind, so
 // a single stuck flow in a multi-million-event run can be replayed in
 // order — the tooling a production simulator needs and NS-3 users get
@@ -27,15 +27,13 @@ const (
 	OpDeliver           // destination host consumes a packet
 	OpDrop              // packet dropped (overflow or injected loss)
 	OpCredit            // Floodgate credit emitted
-	OpPause             // pause frame emitted (PFC/BFC/dst/tag)
-	OpResume            // resume frame emitted
 	OpRetx              // go-back-N or NDP segment retransmission
 	OpRTO               // retransmission timeout fired (sender rewound)
 	OpUnpark            // flow-control module released a parked packet (credit arrived)
 
 	// Application-plane lifecycle points (closed-loop RPC layer). The
-	// event's Flow is the launched attempt's flow; Seq carries the
-	// attempt number so retry amplification is causally attributable.
+	// event's Flow is the attempt's flow, whose registration numbers the
+	// attempt, so retry amplification is causally attributable.
 	OpAppReq     // request attempt launched (attempt 1 = the original)
 	OpAppRetry   // timeout-driven retry attempt launched
 	OpAppHedge   // hedged attempt launched (racing the original)
@@ -44,7 +42,7 @@ const (
 	nOps
 )
 
-var opNames = [nOps]string{"SEND", "ENQ", "PARK", "TX", "DLVR", "DROP", "CREDIT", "PAUSE", "RESUME", "RETX", "RTO", "UNPARK",
+var opNames = [nOps]string{"SEND", "ENQ", "PARK", "TX", "DLVR", "DROP", "CREDIT", "RETX", "RTO", "UNPARK",
 	"APPREQ", "APPRETRY", "APPHEDGE", "APPTOUT", "APPDONE"}
 
 func (o Op) String() string {
@@ -167,13 +165,4 @@ func (b *Buffer) FlowHistory(id packet.FlowID) []Event {
 		}
 	}
 	return out
-}
-
-// Of builds an event from a packet at a lifecycle point (helper for
-// call sites).
-func Of(at units.Time, op Op, node packet.NodeID, p *packet.Packet) Event {
-	return Event{
-		At: at, Op: op, Node: node,
-		Kind: p.Kind, Flow: p.Flow, Seq: p.Seq, Size: p.Size, Dst: p.Dst,
-	}
 }
